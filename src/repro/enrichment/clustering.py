@@ -598,6 +598,34 @@ def cluster_batches(
     )
 
 
+def _distinct(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, list[int]]:
+    """Each array's distinct-content class, and each class's first index."""
+    class_of: dict[bytes, int] = {}
+    index = np.empty(len(arrays), dtype=np.int64)
+    first: list[int] = []
+    for i, arr in enumerate(arrays):
+        code = class_of.setdefault(arr.tobytes(), len(first))
+        if code == len(first):
+            first.append(i)
+        index[i] = code
+    return index, first
+
+
+def distinct_signatures(
+    arrays: Sequence[np.ndarray], *, num_perm: int = 64, seed: int = 1234
+) -> np.ndarray:
+    """:func:`minhash_signatures` of ``arrays``, one pass per distinct array.
+
+    Byte-identical shingle arrays (batches of one task template) share
+    their row, so only distinct interfaces go through the kernel — the
+    same dedupe :func:`cluster_shingled` applies before its minhash pass.
+    """
+    index, first = _distinct(arrays)
+    return minhash_signatures(
+        [arrays[i] for i in first], num_perm=num_perm, seed=seed
+    )[index]
+
+
 def cluster_shingled(
     batch_ids: Sequence[int],
     all_arrays: Sequence[np.ndarray],
@@ -606,6 +634,7 @@ def cluster_shingled(
     num_perm: int = 64,
     bands: int = 16,
     seed: int = 1234,
+    signatures: np.ndarray | None = None,
 ) -> dict[int, int]:
     """Cluster pre-shingled documents (``batch_ids`` aligned with arrays).
 
@@ -614,25 +643,28 @@ def cluster_shingled(
     by first appearance) to match it.  The sharded pipeline shingles per
     shard, then runs this single global pass over the union — identical
     inputs in identical order, therefore an identical partition.
+
+    ``signatures`` optionally carries each document's
+    :func:`minhash_signatures` row (same ``num_perm`` and ``seed``), aligned
+    with ``all_arrays``; the minhash pass is then skipped.  A signature is
+    a pure function of its shingle array, so the partition is unchanged —
+    this is how the ingest service reuses the rows of documents it has
+    already seen.
     """
     _validate_lsh_params(threshold, num_perm, bands)
 
     # Batches of one task often have byte-identical templates; dedupe exact
     # shingle sets so minhash/LSH only runs on distinct interfaces.
-    rep_of_key: dict[bytes, int] = {}
-    rep_index = np.empty(len(batch_ids), dtype=np.int64)
-    rep_arrays: list[np.ndarray] = []
-    for i, arr in enumerate(all_arrays):
-        key = arr.tobytes()
-        code = rep_of_key.get(key)
-        if code is None:
-            code = len(rep_of_key)
-            rep_of_key[key] = code
-            rep_arrays.append(arr)
-        rep_index[i] = code
+    rep_index, rep_first = _distinct(all_arrays)
+    rep_arrays = [all_arrays[i] for i in rep_first]
 
-    with obs.span("cluster.minhash", docs=len(rep_arrays)):
-        signatures = minhash_signatures(rep_arrays, num_perm=num_perm, seed=seed)
+    if signatures is not None:
+        signatures = signatures[rep_first]
+    else:
+        with obs.span("cluster.minhash", docs=len(rep_arrays)):
+            signatures = minhash_signatures(
+                rep_arrays, num_perm=num_perm, seed=seed
+            )
 
     # LSH banding: any two documents agreeing on a full band are candidates.
     # Each bucket contributes (anchor, member) pairs; verifying the deduped

@@ -32,7 +32,11 @@ RESOLUTION_ACCURACY = 0.95
 LABEL_SEPARATOR = "+"
 
 
-def read_labels_from_html(html: str) -> tuple[list[Goal], list[Operator], list[DataType]]:
+#: One careful reading of an interface: its goals, operators and data types.
+Reading = tuple[list[Goal], list[Operator], list[DataType]]
+
+
+def read_labels_from_html(html: str) -> Reading:
     """A careful (error-free) reading of an interface's labels.
 
     Every generated interface announces its goal in the instructions, one
@@ -103,12 +107,19 @@ def annotate_clusters(
     cluster_of_batch: Mapping[int, int],
     batch_html: Mapping[int, str],
     rng: np.random.Generator,
+    readings: dict[int, Reading] | None = None,
 ) -> Table:
     """Label every cluster from its representative batch's interface.
 
     Returns one row per cluster: ``cluster_id``, ``goals``, ``operators``,
     ``data_types`` (multi-labels ``+``-joined), plus the primaries as
     separate columns.
+
+    ``readings`` optionally memoizes :func:`read_labels_from_html` per batch
+    id across calls: a representative already in it is not re-parsed, and
+    a new one is read and added.  A reading is a pure function of the
+    (immutable) document, so the RNG draws and the labels are identical
+    with or without the memo.
     """
     representative: dict[int, int] = {}
     for batch_id in sorted(cluster_of_batch):
@@ -117,8 +128,12 @@ def annotate_clusters(
 
     rows = []
     for cluster_id in sorted(representative):
-        html = batch_html[representative[cluster_id]]
-        truth = read_labels_from_html(html)
+        batch_id = representative[cluster_id]
+        truth = None if readings is None else readings.get(batch_id)
+        if truth is None:
+            truth = read_labels_from_html(batch_html[batch_id])
+            if readings is not None:
+                readings[batch_id] = truth
         first = _noisy_pass(rng, truth)
         second = _noisy_pass(rng, truth)
         if first == second:

@@ -16,18 +16,23 @@ The output :class:`EnrichedDataset` is what every §3–§5 analysis consumes:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from repro import obs
 from repro.dataset.release import ReleasedDataset
-from repro.enrichment.clustering import cluster_batches
+from repro.enrichment.clustering import (
+    cluster_shingled,
+    distinct_signatures,
+    shingle_corpus,
+)
 from repro.enrichment.design import extract_design_parameters
-from repro.enrichment.labels import annotate_clusters
+from repro.enrichment.labels import Reading, annotate_clusters
 from repro.enrichment.metrics import compute_batch_metrics
 from repro.simulator.config import SimulationConfig
 from repro.simulator.rng import StreamFactory
-from repro.tables import Table, col, hash_join
+from repro.tables import Table, col, concat_tables, hash_join
 
 
 @dataclass
@@ -56,19 +61,66 @@ def enrich_dataset(
 ) -> EnrichedDataset:
     """Run the full §2.4 enrichment pipeline on a released dataset."""
     with obs.span("enrichment", batches=len(released.batch_html)) as sp:
-        with obs.span("enrichment.clustering"):
-            cluster_of_batch = cluster_batches(released.batch_html)
-
         with obs.span("enrichment.design"):
             design = extract_design_parameters(released.batch_html)
         with obs.span("enrichment.metrics"):
             metrics = compute_batch_metrics(released)
-
-        enriched = assemble_enrichment(
-            released, config, cluster_of_batch, design, metrics
+        # Shingled last, so the arrays are not held through the metrics
+        # pass's transients.
+        with obs.span("enrichment.clustering", phase="shingle"):
+            batch_ids, arrays = shingle_corpus(released.batch_html)
+        enriched = enrich_from_parts(
+            released.batch_catalog, released.batch_html, config,
+            batch_ids, arrays, design, metrics,
         )
         sp.set("clusters", enriched.cluster_table.num_rows)
     return enriched
+
+
+def _by_batch(table: Table) -> Table:
+    return table.take(np.argsort(table["batch_id"], kind="stable"))
+
+
+def enrich_from_parts(
+    batch_catalog: Table,
+    batch_html: Mapping[int, str],
+    config: SimulationConfig,
+    shingle_ids: Sequence[int],
+    shingle_arrays: Sequence[np.ndarray],
+    design: Table,
+    metrics: Table,
+    *,
+    signatures: np.ndarray | None = None,
+    readings: dict[int, Reading] | None = None,
+    cluster_span: str = "enrichment.clustering",
+) -> EnrichedDataset:
+    """Cluster and assemble from per-batch parts given in any order.
+
+    The one assembly path behind every build: :func:`enrich_dataset` (the
+    monolithic study), :func:`repro.shard.build.merge_partials` (parts
+    pooled from shards) and :class:`EnrichmentParts` (parts memoized by the
+    ingest service).  Each part is sorted by ``batch_id``, the documents
+    are clustered by one :func:`cluster_shingled` pass (under the span
+    ``cluster_span``), and the tables are assembled as in
+    :func:`assemble_enrichment` — so equal parts give equal bytes whatever
+    produced them.  ``signatures`` (minhash rows aligned with
+    ``shingle_arrays``) and ``readings`` (a label-reading memo) only skip
+    recomputation.  Only the catalog and the HTML are read from the
+    released layer; the instance log reaches the result through
+    ``metrics``.
+    """
+    ids = np.asarray(shingle_ids, dtype=np.int64)
+    order = np.argsort(ids, kind="stable")
+    with obs.span(cluster_span, docs=len(order)):
+        cluster_of_batch = cluster_shingled(
+            [int(b) for b in ids[order]],
+            [shingle_arrays[i] for i in order],
+            signatures=None if signatures is None else signatures[order],
+        )
+    return _assemble(
+        batch_catalog, batch_html, config, cluster_of_batch,
+        _by_batch(design), _by_batch(metrics), readings,
+    )
 
 
 def assemble_enrichment(
@@ -78,15 +130,28 @@ def assemble_enrichment(
     design: Table,
     metrics: Table,
 ) -> EnrichedDataset:
-    """Assemble the batch/cluster tables from precomputed per-batch parts.
+    """Assemble the batch/cluster tables from a computed partition.
 
-    The back half of :func:`enrich_dataset`, split out so the sharded
-    pipeline (:mod:`repro.shard`) can merge per-shard ``design``/``metrics``
-    tables and a globally clustered ``cluster_of_batch`` map, then build
-    byte-identical final tables through exactly this code path.
+    ``design`` and ``metrics`` must be sorted by ``batch_id``.  The tail of
+    :func:`enrich_from_parts`, for callers that cluster on their own.
     """
+    return _assemble(
+        released.batch_catalog, released.batch_html, config,
+        cluster_of_batch, design, metrics, None,
+    )
+
+
+def _assemble(
+    batch_catalog: Table,
+    batch_html: Mapping[int, str],
+    config: SimulationConfig,
+    cluster_of_batch: dict[int, int],
+    design: Table,
+    metrics: Table,
+    readings: dict[int, Reading] | None,
+) -> EnrichedDataset:
     with obs.span("enrichment.cluster_table"):
-        catalog = released.batch_catalog.select(["batch_id", "created_at"])
+        catalog = batch_catalog.select(["batch_id", "created_at"])
         batch_table = (
             design.lazy()
             .join(metrics, on="batch_id", how="left")
@@ -126,7 +191,7 @@ def assemble_enrichment(
     with obs.span("enrichment.labels"):
         label_rng = StreamFactory(config.seed).stream("labels")
         labels = annotate_clusters(
-            cluster_of_batch, released.batch_html, label_rng
+            cluster_of_batch, batch_html, label_rng, readings
         )
         cluster_table = hash_join(
             cluster_table, labels, on="cluster_id", how="left"
@@ -138,3 +203,113 @@ def assemble_enrichment(
         cluster_table=cluster_table,
         labels=labels,
     )
+
+
+class EnrichmentParts:
+    """Per-batch enrichment parts, memoized across incremental rebuilds.
+
+    The standing memo behind the ingest service's snapshots.  Every part
+    but the cluster partition is a function of one batch alone:
+
+    - per document (keyed by ``batch_id``; a document never changes once
+      ingested): its shingle array and minhash signature, its design row,
+      and its label reading — computed once, when the document is first
+      seen;
+    - per batch: its metrics row, a function of the batch's own instance
+      rows and its own catalog ``created_at`` (item ids are batch-scoped,
+      as the release guarantees; the sharded build's ``batch_id % K`` cut
+      relies on the same fact) — recomputed only for *dirty* batches, the
+      ones that received instance or catalog rows since the last build.
+
+    :meth:`enrich` refreshes the parts and hands them to
+    :func:`enrich_from_parts`, which reclusters every document and
+    assembles the tables exactly as the one-shot study does, so the result
+    is byte-identical to :func:`enrich_dataset` over the same rows.  The
+    memo is updated only when a build succeeds; callers serialize builds.
+    """
+
+    def __init__(self) -> None:
+        self._shingles: dict[int, np.ndarray] = {}
+        self._signatures: dict[int, np.ndarray] = {}
+        self._design: Table | None = None
+        self._metrics: Table | None = None
+        self._readings: dict[int, Reading] = {}
+
+    def enrich(
+        self,
+        released: ReleasedDataset,
+        config: SimulationConfig,
+        dirty_batches: Sequence[np.ndarray],
+    ) -> EnrichedDataset:
+        """The enrichment of ``released``, recomputing only what changed.
+
+        ``dirty_batches`` holds the ``batch_id`` arrays of every instance
+        and catalog row added since the last successful :meth:`enrich`
+        (repeats are fine; ignored on the first build, which computes
+        every part); documents are new when they are not in the memo yet.
+        """
+        html = released.batch_html
+        new_html = {b: doc for b, doc in html.items() if b not in self._shingles}
+        with obs.span("enrichment", batches=len(html)) as sp:
+            with obs.span("enrichment.design", docs=len(new_html)):
+                design = self._design
+                if new_html:
+                    fresh = extract_design_parameters(new_html)
+                    design = fresh if design is None else _by_batch(
+                        concat_tables([design, fresh])
+                    )
+            with obs.span("enrichment.metrics"):
+                metrics = self._refresh_metrics(released, dirty_batches)
+            with obs.span(
+                "enrichment.clustering", phase="shingle", docs=len(new_html)
+            ):
+                new_ids, new_arrays = shingle_corpus(new_html)
+                new_sigs = distinct_signatures(new_arrays)
+            shingles = {**self._shingles, **dict(zip(new_ids, new_arrays))}
+            signatures = {**self._signatures, **dict(zip(new_ids, new_sigs))}
+            batch_ids = sorted(html)
+            enriched = enrich_from_parts(
+                released.batch_catalog, html, config,
+                batch_ids, [shingles[b] for b in batch_ids], design, metrics,
+                signatures=np.stack([signatures[b] for b in batch_ids]),
+                readings=self._readings,
+            )
+            sp.set("clusters", enriched.cluster_table.num_rows)
+        self._shingles = shingles
+        self._signatures = signatures
+        self._design = design
+        self._metrics = metrics
+        return enriched
+
+    def _refresh_metrics(
+        self, released: ReleasedDataset, dirty_batches: Sequence[np.ndarray]
+    ) -> Table:
+        """The metrics table with the dirty batches' rows recomputed."""
+        if self._metrics is None:
+            return compute_batch_metrics(released)
+        if not dirty_batches:
+            return self._metrics
+        dirty = np.concatenate(dirty_batches)
+        instances = released.instances
+        rows = np.flatnonzero(np.isin(instances["batch_id"], dirty))
+        kept = self._metrics.take(
+            np.flatnonzero(~np.isin(self._metrics["batch_id"], dirty))
+        )
+        if not rows.size:
+            return kept
+        subset = ReleasedDataset(
+            batch_catalog=released.batch_catalog,
+            batch_html={},
+            instances=Table(
+                {
+                    name: instances[name][rows]
+                    for name in _METRIC_INPUTS
+                },
+                copy=False,
+            ),
+        )
+        return _by_batch(concat_tables([kept, compute_batch_metrics(subset)]))
+
+
+#: The instance columns :func:`compute_batch_metrics` reads.
+_METRIC_INPUTS = ("batch_id", "item_id", "start_time", "end_time", "response")

@@ -116,6 +116,8 @@ class Trace:
 
 _enabled = False
 _mem_enabled = False
+# Whether enable() started tracemalloc itself (finish() then stops it).
+_mem_started = False
 _trace: Trace | None = None
 _tls = threading.local()
 
@@ -153,13 +155,14 @@ def enable(name: str = "trace", *, mem: bool | None = None) -> Trace:
     ``mem`` adds ``tracemalloc`` numbers to every span; ``None`` defers to
     the ``REPRO_TRACE_MEM`` environment variable.  Returns the new trace.
     """
-    global _enabled, _mem_enabled, _trace
+    global _enabled, _mem_enabled, _mem_started, _trace
     _mem_enabled = _env_truthy(TRACE_MEM_ENV) if mem is None else mem
     if _mem_enabled:
         import tracemalloc
 
         if not tracemalloc.is_tracing():
             tracemalloc.start()
+            _mem_started = True
     _trace = Trace(name)
     _tls.stack = []
     _enabled = True
@@ -173,9 +176,20 @@ def disable() -> None:
 
 
 def finish() -> Trace | None:
-    """Stop recording and return the collected trace (``None`` if never on)."""
-    global _enabled, _trace
+    """Stop recording and return the collected trace (``None`` if never on).
+
+    Also stops ``tracemalloc`` if :func:`enable` started it: left running,
+    it taxes every later allocation of the process several-fold.  A
+    ``tracemalloc`` session the caller started is left alone.
+    """
+    global _enabled, _mem_enabled, _mem_started, _trace
     _enabled = False
+    _mem_enabled = False
+    if _mem_started:
+        import tracemalloc
+
+        tracemalloc.stop()
+        _mem_started = False
     trace, _trace = _trace, None
     _tls.stack = []
     return trace

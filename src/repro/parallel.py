@@ -489,6 +489,19 @@ def _pool_map(
         return guarded
 
 
+def _in_daemon() -> bool:
+    """Whether this is a daemonic process, e.g. a pool worker.
+
+    Daemonic processes may not have children, so a pool could never start
+    here: a nested map inside a pool worker (the per-shard design and
+    shingle maps) runs the serial loop directly, as a planned choice, not
+    a degradation — no spawn retries, no warning, no fallback count.
+    """
+    import multiprocessing as mp
+
+    return mp.current_process().daemon
+
+
 def map_chunks(
     func: Callable[[_T], _R],
     items: Iterable[_T],
@@ -511,6 +524,9 @@ def map_chunks(
     off, or the ``REPRO_POOL_TIMEOUT`` env var); a stall counts in
     ``parallel.timeout`` and degrades to the serial loop.
 
+    Inside a daemonic process (a pool worker) the map is always serial:
+    such a process cannot start a pool of its own.
+
     ``min_items`` overrides the built-in "too few items to be worth a pool"
     threshold (default :data:`_MIN_PARALLEL_ITEMS`).  Coarse fan-outs whose
     items are whole pipeline stages — e.g. one shard build per item in
@@ -520,7 +536,7 @@ def map_chunks(
     seq: Sequence[_T] = items if isinstance(items, (list, tuple)) else list(items)
     n = worker_count(workers)
     floor = _MIN_PARALLEL_ITEMS if min_items is None else max(1, min_items)
-    if n <= 1 or len(seq) < floor:
+    if n <= 1 or len(seq) < floor or _in_daemon():
         return [func(item) for item in seq]
     if chunk_size is None:
         chunk_size = max(1, len(seq) // (n * 4))

@@ -25,10 +25,23 @@ of standing state is touched.  Any failure raises :class:`IngestError`
 to before the request, which is what makes the ``serve.ingest`` fault
 sites testable.
 
-The derived layers (enriched tables, figures, fidelity probes) come from
-:func:`repro.enrichment.pipeline.enrich_dataset` — deterministic in
-``(released, config)`` — run at most once per state version and memoized
-as a :class:`Snapshot`.
+Duplicate screening checks each payload's keys against sorted int64 key
+arrays with ``np.searchsorted`` — no per-row Python work and no boxed ints,
+so it scales to the paper-sized log.
+
+The derived layers (enriched tables, figures, fidelity probes) are built
+at most once per state version and memoized as a :class:`Snapshot`.  A
+build reuses everything an ingest did not change: a
+:class:`~repro.enrichment.pipeline.EnrichmentParts` memo keeps every
+document's shingles, signature, design row and label reading and every
+batch's metrics row, so a build computes parts only for new documents and
+*dirty* batches (those that received instance or catalog rows since the
+last build), then reclusters and assembles through the same
+:func:`~repro.enrichment.pipeline.enrich_from_parts` path as the one-shot
+and sharded studies — byte-identical to
+:func:`~repro.enrichment.pipeline.enrich_dataset` over the same rows.
+Builds are single-flight: concurrent readers of a new version wait for
+one build under a build lock that ingest never takes.
 """
 
 from __future__ import annotations
@@ -157,6 +170,11 @@ def duration_hist_table(hist: Histogram) -> "Table":
     )
 
 
+def _with_keys(keys: np.ndarray, new: np.ndarray) -> np.ndarray:
+    """Sorted ``keys`` with the sorted, disjoint ``new`` merged in."""
+    return np.insert(keys, np.searchsorted(keys, new), new)
+
+
 class IngestError(ValueError):
     """A malformed or inconsistent micro-batch (the HTTP 400 path)."""
 
@@ -192,6 +210,7 @@ class ServiceState:
 
     def __init__(self, config: "SimulationConfig"):
         from repro import cache as study_cache
+        from repro.enrichment.pipeline import EnrichmentParts
 
         self.config = config
         self.config_key = study_cache.study_key(config)
@@ -205,11 +224,18 @@ class ServiceState:
             edges=DURATION_EDGES,
             counts=np.zeros(len(DURATION_EDGES) - 1, dtype=np.int64),
         )
-        self._seen_batches: set[int] = set()
-        self._seen_instances: set[int] = set()
+        # Sorted unique keys of every ingested catalog/instance row.
+        self._batch_keys = np.empty(0, dtype=np.int64)
+        self._instance_keys = np.empty(0, dtype=np.int64)
         self._versions = {"catalog": 0, "instances": 0, "html": 0}
         self._ingested_batches = 0
         self._snapshot: Snapshot | None = None
+        # Snapshot builds: one at a time, never under ``_lock``.
+        self._build_lock = threading.Lock()
+        self._parts = EnrichmentParts()
+        # Batch ids of every catalog/instance row folded since the last
+        # successful build (the dirty batches), one array per fold.
+        self._dirty: list[np.ndarray] = []
 
     # ----------------------------------------------------------------- #
     # Introspection
@@ -252,18 +278,18 @@ class ServiceState:
         t0 = time.perf_counter()
         catalog, instances, html = self._validate(payload)
         with self._lock:
-            # Duplicate screening must see the seen-sets under the same
+            # Duplicate screening must see the standing keys under the same
             # lock that applies the fold, and must all pass before any
             # state is touched (atomic accept-or-reject).
             if catalog is not None:
-                self._screen_duplicates(
+                batch_ids = self._screen_duplicates(
                     np.asarray(catalog["batch_id"]),
-                    self._seen_batches, "batch_id",
+                    self._batch_keys, "batch_id",
                 )
             if instances is not None:
-                self._screen_duplicates(
+                instance_ids = self._screen_duplicates(
                     np.asarray(instances["instance_id"]),
-                    self._seen_instances, "instance_id",
+                    self._instance_keys, "instance_id",
                 )
             for batch_id in html:
                 if batch_id in self._html:
@@ -273,16 +299,16 @@ class ServiceState:
             accepted = {"catalog_rows": 0, "instance_rows": 0, "html_docs": 0}
             if catalog is not None:
                 accepted["catalog_rows"] = self._catalog.fold(catalog)
-                self._seen_batches.update(
-                    int(b) for b in np.asarray(catalog["batch_id"])
-                )
+                self._batch_keys = _with_keys(self._batch_keys, batch_ids)
+                self._dirty.append(batch_ids)
                 self._versions["catalog"] += 1
             if instances is not None:
                 timed = with_duration(instances)
                 accepted["instance_rows"] = self._instances.fold(instances)
-                self._seen_instances.update(
-                    int(i) for i in np.asarray(instances["instance_id"])
+                self._instance_keys = _with_keys(
+                    self._instance_keys, instance_ids
                 )
+                self._dirty.append(np.asarray(instances["batch_id"]))
                 self._rollup.update(timed)
                 trust = np.asarray(instances["trust"])
                 if np.count_nonzero(~np.isnan(trust)):
@@ -360,17 +386,24 @@ class ServiceState:
 
     @staticmethod
     def _screen_duplicates(
-        ids: np.ndarray, seen: set[int], label: str
-    ) -> None:
-        unique = np.unique(ids)
-        if len(unique) != len(ids):
+        ids: np.ndarray, seen: np.ndarray, label: str
+    ) -> np.ndarray:
+        """``ids`` sorted, after checking them against the sorted ``seen``
+        keys; raises :class:`IngestError` on any repeat."""
+        # A plain sort plus a neighbour compare: NumPy 2's hash-based
+        # ``np.unique`` is ~70x slower on a 700k-row payload's int64 keys.
+        unique = np.sort(ids)
+        if np.any(unique[1:] == unique[:-1]):
             raise IngestError(f"micro-batch repeats a {label}")
-        clash = [int(i) for i in unique if int(i) in seen]
-        if clash:
+        at = np.searchsorted(seen, unique)
+        inside = at < len(seen)
+        clash = unique[inside][seen[at[inside]] == unique[inside]]
+        if clash.size:
             raise IngestError(
-                f"{label} {clash[:5]} already ingested "
+                f"{label} {[int(i) for i in clash[:5]]} already ingested "
                 f"(micro-batches must partition the study)"
             )
+        return unique
 
     # ----------------------------------------------------------------- #
     # Streaming reads (no rebuild, pure merge algebra)
@@ -423,53 +456,75 @@ class ServiceState:
     def snapshot(self) -> Snapshot:
         """The derived layers at the current version (built at most once).
 
-        The released layers are captured under the lock (consistent with
-        the version stamp); the deterministic enrichment runs outside it,
-        so ingest is never blocked behind an enrichment pass.
+        Single-flight: a reader that finds the memo stale takes the build
+        lock, re-checks, and builds only if no other reader built this
+        version meanwhile.  The released tables and the dirty batches are
+        captured together under the state lock (consistent with the
+        version stamp); the enrichment runs outside it, so ingest is never
+        blocked behind a build.  The dirty batches are cleared, and the
+        parts memo advanced, only when the build succeeds.
         """
         from repro.dataset.release import ReleasedDataset
-        from repro.enrichment.pipeline import enrich_dataset
         from repro.figures.suite import FigureSuite
         from repro.study import _LazyState
 
-        with self._lock:
-            versions = (
-                self._versions["catalog"],
-                self._versions["instances"],
-                self._versions["html"],
-            )
-            memo = self._snapshot
-            if memo is not None and memo.versions == versions:
-                return memo
-            if not (
-                self._catalog.num_rows
-                and self._instances.num_rows
-                and self._html
-            ):
-                raise IngestError(
-                    "snapshot needs catalog, instances, and html ingested"
+        memo = self._fresh_snapshot()
+        if memo is not None:
+            return memo
+        with self._build_lock:
+            with self._lock:
+                memo = self._fresh_snapshot()
+                if memo is not None:
+                    return memo
+                if not (
+                    self._catalog.num_rows
+                    and self._instances.num_rows
+                    and self._html
+                ):
+                    raise IngestError(
+                        "snapshot needs catalog, instances, and html "
+                        "ingested"
+                    )
+                versions = self._version_key()
+                released = ReleasedDataset(
+                    batch_catalog=self._catalog.finalize(),
+                    batch_html=dict(self._html),
+                    instances=self._instances.finalize(),
                 )
-            released = ReleasedDataset(
-                batch_catalog=self._catalog.finalize(),
-                batch_html=dict(self._html),
-                instances=self._instances.finalize(),
+                dirty = list(self._dirty)
+            _SNAPSHOT_BUILDS.inc()
+            with obs.span("service.snapshot"):
+                enriched = self._parts.enrich(released, self.config, dirty)
+            lazy = _LazyState(self.config)
+            snapshot = Snapshot(
+                versions=versions,
+                released=released,
+                enriched=enriched,
+                figures=FigureSuite(
+                    state=lazy, released=released, enriched=enriched
+                ),
             )
-        _SNAPSHOT_BUILDS.inc()
-        with obs.span("service.snapshot"):
-            enriched = enrich_dataset(released, self.config)
-        lazy = _LazyState(self.config)
-        snapshot = Snapshot(
-            versions=versions,
-            released=released,
-            enriched=enriched,
-            figures=FigureSuite(
-                state=lazy, released=released, enriched=enriched
-            ),
+            with self._lock:
+                # Ingests only append, so the captured prefix is exactly
+                # what this build consumed.
+                del self._dirty[:len(dirty)]
+                self._snapshot = snapshot
+            return snapshot
+
+    def _version_key(self) -> tuple[int, int, int]:
+        return (
+            self._versions["catalog"],
+            self._versions["instances"],
+            self._versions["html"],
         )
+
+    def _fresh_snapshot(self) -> Snapshot | None:
+        """The memoized snapshot if it is at the current version."""
         with self._lock:
-            # Last writer wins; an interleaved ingest simply invalidates.
-            self._snapshot = snapshot
-        return snapshot
+            memo = self._snapshot
+            if memo is not None and memo.versions == self._version_key():
+                return memo
+            return None
 
 
 __all__ = [

@@ -18,12 +18,11 @@ The flow for ``K`` shards:
 2. **Merge** loads the partials back *lean* — the per-batch pieces
    eagerly, the instance tables as read-on-demand views over the store
    (an entry that went missing or corrupt is quarantined and rebuilt in
-   process) — runs the unchanged single-level clustering over the pooled
-   shingles and frees them, streams the instance union together column
-   by column in global order, and assembles the final tables through
-   :func:`repro.enrichment.pipeline.assemble_enrichment` — the same code
-   path the monolithic build uses, which is why the result is
-   byte-identical.
+   process) — clusters the pooled shingles and assembles the final tables
+   through :func:`repro.enrichment.pipeline.enrich_from_parts` — the same
+   code path the monolithic build uses, which is why the result is
+   byte-identical — frees the shingles, then streams the instance union
+   together column by column in global order.
 
 Observability: ``shard.built`` counts shard builds, ``shard.rebuilt``
 counts merge-time rebuilds after a failed load, and the merge wall time
@@ -251,13 +250,13 @@ def merge_partials(
     """Merge shard partials into the monolithic released/enriched layers.
 
     Exactness per layer: instance rows are concatenated and stably sorted
-    by global instance id (each shard is already internally ordered);
-    design/metrics rows likewise by batch id; the batch catalog is global
-    and carried verbatim by shard 0; clustering runs the unchanged
-    single-level pass over the pooled shingle arrays in global sorted
-    order; and the final tables come out of the same
-    :func:`~repro.enrichment.pipeline.assemble_enrichment` the monolithic
-    pipeline uses.
+    by global instance id (each shard is already internally ordered); the
+    batch catalog is global and carried verbatim by shard 0; and the pooled
+    shingle arrays, design and metrics rows go through
+    :func:`~repro.enrichment.pipeline.enrich_from_parts` — the path the
+    monolithic pipeline and the ingest service use — which sorts them by
+    batch id, runs the unchanged single-level clustering pass and
+    assembles the final tables.
 
     Consumes ``partials`` destructively to keep the union-sized pieces
     from coexisting: the shingle pool is clustered and freed before the
@@ -267,8 +266,7 @@ def merge_partials(
     plus one column, not the output plus every shard's table.
     """
     from repro.dataset.release import ReleasedDataset
-    from repro.enrichment.clustering import cluster_shingled
-    from repro.enrichment.pipeline import assemble_enrichment
+    from repro.enrichment.pipeline import enrich_from_parts
     from repro.tables import concat_tables
 
     if not partials:
@@ -290,18 +288,15 @@ def merge_partials(
     ]
     for partial in partials:
         partial.shingle_arrays = []
-    order = np.argsort(shingle_ids, kind="stable")
-    with obs.span("shard.merge.cluster", docs=len(order)):
-        cluster_of_batch = cluster_shingled(
-            [int(b) for b in shingle_ids[order]],
-            [shingle_arrays[i] for i in order],
-        )
+    # The assembly reads only the catalog and the HTML, so it runs before
+    # the instance merge and the shingle pool is freed first.
+    enriched = enrich_from_parts(
+        catalog, batch_html, config, shingle_ids, shingle_arrays,
+        concat_tables([p.design for p in partials]),
+        concat_tables([p.metrics for p in partials]),
+        cluster_span="shard.merge.cluster",
+    )
     shingle_arrays.clear()
-
-    design = concat_tables([p.design for p in partials])
-    design = design.take(np.argsort(design["batch_id"], kind="stable"))
-    metrics = concat_tables([p.metrics for p in partials])
-    metrics = metrics.take(np.argsort(metrics["batch_id"], kind="stable"))
 
     instance_tables = [p.instances for p in partials]
     for partial in partials:
@@ -312,9 +307,6 @@ def merge_partials(
         batch_catalog=catalog,
         batch_html=batch_html,
         instances=instances,
-    )
-    enriched = assemble_enrichment(
-        released, config, cluster_of_batch, design, metrics
     )
     return released, enriched
 

@@ -263,23 +263,31 @@ class IncrementalTableFold:
 
     Segments share a schema and carry a *unique* key column (``instance_id``
     for the instance log, ``batch_id`` for the catalog).  :meth:`finalize`
-    concatenates every folded segment and stable-sorts the rows by key —
-    because the keys are unique, the result depends only on the row
-    *multiset*, never on how the rows were partitioned into segments or in
-    which order they arrived.  The monolithic build emits these tables
-    sorted ascending by the same key, so the finalized fold is
-    byte-identical to the one-shot batch table (the construction
-    ``repro.shard.build._merge_sorted_by`` already relies on).
+    returns every folded row stable-sorted by key — because the keys are
+    unique, the result depends only on the row *multiset*, never on how the
+    rows were partitioned into segments or in which order they arrived.
+    The monolithic build emits these tables sorted ascending by the same
+    key, so the finalized fold is byte-identical to the one-shot batch
+    table (the construction ``repro.shard.build._merge_sorted_by`` already
+    relies on).
+
+    Finalize is incremental: segments folded since the last finalize are
+    sorted among themselves and merged into the standing sorted table with
+    ``searchsorted`` (ties go after the standing rows, which arrived
+    first), so each finalize costs one pass over the table instead of a
+    full re-sort, and the merged segments are dropped — the rows are never
+    held twice.  That equals a stable sort of every segment in arrival
+    order.  Each finalize builds new arrays, so a table returned earlier
+    stays valid and unchanged.
 
     Columns are materialized on fold (:class:`~repro.tables.DictColumn`
     storage becomes its object array), so finalized bytes are independent
-    of any segment's dictionary code layout.  ``finalize`` is memoized and
-    invalidated by the next :meth:`fold`.
+    of any segment's dictionary code layout.
     """
 
     def __init__(self, key: str):
         self.key = key
-        self._segments: list[dict[str, np.ndarray]] = []
+        self._pending: list[dict[str, np.ndarray]] = []
         self._names: list[str] | None = None
         self._num_rows = 0
         self._final: "Table | None" = None
@@ -287,10 +295,6 @@ class IncrementalTableFold:
     @property
     def num_rows(self) -> int:
         return self._num_rows
-
-    @property
-    def num_segments(self) -> int:
-        return len(self._segments)
 
     @property
     def column_names(self) -> list[str] | None:
@@ -321,38 +325,39 @@ class IncrementalTableFold:
             )
         # Materialize now: DictColumn code layout depends on arrival order
         # and must never leak into the finalized bytes.
-        self._segments.append(
+        self._pending.append(
             {name: np.asarray(table[name]) for name in names}
         )
         self._num_rows += table.num_rows
-        self._final = None
         return table.num_rows
-
-    def key_values(self) -> np.ndarray:
-        """Every folded key, in arrival order (for duplicate screening)."""
-        if not self._segments:
-            return np.empty(0, dtype=np.int64)
-        return np.concatenate([seg[self.key] for seg in self._segments])
 
     def finalize(self) -> "Table":
         """All folded rows, stable-sorted ascending by the key column."""
         from repro.tables import Table
 
-        if self._final is not None:
+        if not self._pending:
+            if self._final is None:
+                raise ValueError("cannot finalize an empty fold")
             return self._final
-        if not self._segments:
-            raise ValueError("cannot finalize an empty fold")
         assert self._names is not None
-        keys = np.concatenate([seg[self.key] for seg in self._segments])
+        keys = np.concatenate([seg[self.key] for seg in self._pending])
         order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        at = None
+        if self._final is not None:
+            at = np.searchsorted(self._final[self.key], keys, side="right")
         merged: dict[str, np.ndarray] = {}
         for name in self._names:
             if name == self.key:
-                merged[name] = keys[order]
+                column = keys
             else:
-                merged[name] = np.concatenate(
-                    [seg[name] for seg in self._segments]
+                column = np.concatenate(
+                    [seg[name] for seg in self._pending]
                 )[order]
+            if at is not None:
+                column = np.insert(self._final[name], at, column)
+            merged[name] = column
+        self._pending = []
         self._final = Table(merged, copy=False)
         return self._final
 

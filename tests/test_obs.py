@@ -137,6 +137,28 @@ class TestSpans:
         assert record.mem_peak_bytes > 0
         assert record.mem_alloc_bytes is not None
 
+    def test_finish_stops_the_tracemalloc_it_started(self):
+        # A leaked tracemalloc session slows every later allocation of the
+        # process several-fold.
+        import tracemalloc
+
+        assert not tracemalloc.is_tracing()
+        obs.enable(mem=True)
+        assert tracemalloc.is_tracing()
+        obs.finish()
+        assert not tracemalloc.is_tracing()
+
+    def test_finish_leaves_a_callers_tracemalloc_running(self):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            obs.enable(mem=True)
+            obs.finish()
+            assert tracemalloc.is_tracing()
+        finally:
+            tracemalloc.stop()
+
 
 # --------------------------------------------------------------------- #
 # Metrics registry

@@ -19,6 +19,32 @@ def _shout(s):
     return s.upper()
 
 
+def _map_in_daemon(conn):
+    """Body of a daemonic child: one pooled-size map, reported back."""
+    import multiprocessing as mp
+    import time
+
+    from repro import obs
+
+    retries = obs.counter("parallel.pool_retries")
+    fallbacks = obs.counter("parallel.serial_fallback")
+    r0, f0 = retries.value, fallbacks.value
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        t0 = time.perf_counter()
+        out = map_chunks(_square, list(range(64)), workers=2)
+        elapsed = time.perf_counter() - t0
+    conn.send({
+        "daemon": mp.current_process().daemon,
+        "out": out,
+        "retries": retries.value - r0,
+        "fallbacks": fallbacks.value - f0,
+        "warnings": [str(w.message) for w in caught],
+        "elapsed": elapsed,
+    })
+    conn.close()
+
+
 @pytest.fixture(autouse=True)
 def _fresh_warnings():
     """Warn-once-per-cause state must not leak between tests."""
@@ -104,6 +130,30 @@ class TestMapChunks:
         out = map_chunks(_square, arrays, workers=2)
         for i, arr in enumerate(out):
             assert np.array_equal(arr, np.arange(i, i + 5) ** 2)
+
+    def test_daemonic_process_maps_serially_without_pool_attempts(self):
+        # A pool worker is daemonic and may not start children: a nested
+        # map inside one must go straight to the serial loop — no spawn
+        # retries with backoff, no warning, no fallback count.
+        import multiprocessing as mp
+
+        ctx = mp.get_context("fork")
+        parent, child = ctx.Pipe(duplex=False)
+        proc = ctx.Process(
+            target=_map_in_daemon, args=(child,), daemon=True
+        )
+        proc.start()
+        try:
+            assert parent.poll(30), "daemonic child sent no result"
+            result = parent.recv()
+        finally:
+            proc.join(30)
+        assert result["daemon"] is True
+        assert result["out"] == [x * x for x in range(64)]
+        assert result["retries"] == 0
+        assert result["fallbacks"] == 0
+        assert result["warnings"] == []
+        assert result["elapsed"] < parallel._POOL_SPAWN_BACKOFF_S
 
 
 class TestWarnOnce:

@@ -33,10 +33,6 @@ def _sleep_return(seconds):
     return seconds
 
 
-def _sleep_group(group):
-    return [_sleep_return(seconds) for seconds in group]
-
-
 @pytest.fixture(autouse=True)
 def _clean_state(tmp_path, monkeypatch):
     """Cold per-test spill store; no fault or warn-once leakage."""
@@ -155,36 +151,59 @@ class TestStealAccounting:
 
 
 class TestWorkStealingUnderSkew:
-    #: One straggler carrying 8x the mean work plus 7 unit shards.  Sleep
-    #: units so the comparison measures scheduling, not CPU throughput.
+    #: One straggler chunk plus 7 unit chunks over 2 workers.  The
+    #: straggler outlasts all the unit chunks together by 13 units, so
+    #: the schedule below holds however slowly results round-trip.  The
+    #: wall-clock speedup itself is the guarded ``shard_sched_skewed``
+    #: bench's job, not a unit test's.
     UNIT = 0.02
-    SIZES = (8,) + (1,) * 7
+    SIZES = (20,) + (1,) * 7
 
     def test_dynamic_schedule_beats_static_placement(self):
+        from repro.obs import live
+
         items = [s * self.UNIT for s in self.SIZES]
-        start = time.monotonic()
-        dynamic_out = map_chunks(
-            _sleep_return, items, workers=2, chunk_size=1, min_items=2
-        )
-        dynamic = time.monotonic() - start
-        assert dynamic_out == items
+        steals = obs.counter("parallel.steals")
+        s0 = steals.value
+        sub = live.BUS.subscribe()
+        try:
+            out = map_chunks(
+                _sleep_return, items,
+                workers=2, chunk_size=1, timeout=30.0, min_items=2,
+            )
+            events = []
+            while (event := sub.get(timeout=0)) is not None:
+                events.append(event)
+        finally:
+            sub.close()
+        assert out == items
 
-        # Static placement: shard i pinned to worker i % 2 up front (the
-        # batch_id % K discipline), one chunk per worker.
-        groups = [tuple(items[w::2]) for w in range(2)]
-        start = time.monotonic()
-        static_out = map_chunks(
-            _sleep_group, groups, workers=2, chunk_size=1, min_items=2
-        )
-        static = time.monotonic() - start
-        assert sorted(s for g in static_out for s in g) == sorted(items)
+        # With a timeout the in-flight window is the worker count: chunks
+        # 0 and 1 go out up front, every later chunk is handed out as a
+        # slot frees (a steal).
+        dispatched = {
+            e["index"]: e["steal"]
+            for e in events if e["kind"] == "chunk.dispatch"
+        }
+        assert dispatched == {i: i >= 2 for i in range(len(items))}
+        assert steals.value == s0 + 6
 
-        # Ideal walls: dynamic max(8, 7) = 8 units, static 8+3 = 11 units.
-        # 1.15x leaves room for pool-spawn overhead on both sides.
-        assert static > dynamic * 1.15, (
-            f"work stealing ({dynamic:.3f}s) not faster than static "
-            f"placement ({static:.3f}s)"
-        )
+        # Every chunk after the straggler ran on the other, idle worker.
+        pid_of = {
+            e["index"]: e["pid"]
+            for e in events if e["kind"] == "chunk.folded"
+        }
+        assert len(pid_of) == len(items)
+        assert all(pid_of[i] != pid_of[0] for i in range(1, len(items)))
+
+        # Static placement (chunk i pinned to worker i % 2, the
+        # batch_id % K discipline) loads one worker with 20+3 units; the
+        # observed schedule's busiest worker carries only the straggler.
+        load: dict[int, int] = {}
+        for i, pid in pid_of.items():
+            load[pid] = load.get(pid, 0) + self.SIZES[i]
+        static = max(sum(self.SIZES[w::2]) for w in range(2))
+        assert max(load.values()) == self.SIZES[0] < static
 
     def test_skewed_shard_build_byte_identical(self):
         # A deterministic straggler shard (shard.build:sleep@1) must change
