@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.dataset.release import ReleasedDataset
 from repro.tables import Table
-from repro.tables.column import factorize
+from repro.tables.column import count_distinct, factorize
 
 
 def _pair_disagreement_by_item(
@@ -101,7 +101,7 @@ def compute_batch_metrics(released: ReleasedDataset) -> Table:
     for slot, (s, e) in enumerate(zip(starts, ends)):
         task_time[slot] = np.median(duration[s:e])
         pickup_time[slot] = np.median(pickup[s:e])
-        num_items[slot] = len(np.unique(items_ordered[s:e]))
+        num_items[slot] = count_distinct(items_ordered[s:e])
 
     # Average item disagreement per batch (NaN-aware).  ``out_batch`` is
     # sorted, so slots resolve by binary search.

@@ -95,9 +95,10 @@ _POOL_SPAWN_ATTEMPTS = 3
 _POOL_SPAWN_BACKOFF_S = 0.05
 #: How long an injected ``pool.chunk:hang`` fault sleeps.
 _HANG_SLEEP_S = 30.0
-#: How long an abandoned pool's background teardown may take before the
-#: driver stops waiting for it.
-_ABANDON_JOIN_S = 5.0
+#: How long a pool's background teardown may take before the driver stops
+#: waiting for it (a bound for a wedged teardown; a normal one takes
+#: milliseconds).
+_TERMINATE_JOIN_S = 5.0
 
 _FALLBACKS = obs.counter("parallel.serial_fallback")
 _POOL_MAPS = obs.counter("parallel.pool_maps")
@@ -285,7 +286,7 @@ def _create_pool(ctx, n: int):
     for attempt in range(1, _POOL_SPAWN_ATTEMPTS + 1):
         try:
             faults.check("pool.spawn")
-            return ctx.Pool(processes=n)
+            return ctx.Pool(processes=n, initializer=_default_sigterm)
         except Exception:
             if attempt == _POOL_SPAWN_ATTEMPTS:
                 raise
@@ -294,31 +295,38 @@ def _create_pool(ctx, n: int):
     raise RuntimeError("unreachable")  # pragma: no cover
 
 
-def _abandon_pool(pool) -> None:
-    """Tear down a pool whose workers may be mid-chunk, without deadlock.
+def _default_sigterm() -> None:
+    """Pool-worker initializer: SIGTERM kills the worker.
 
-    ``Pool.terminate()`` begins with ``_help_stuff_finish``, which acquires
-    the task queue's shared read-lock — a lock an active worker holds while
-    blocked reading the next task.  Calling it synchronously on a pool that
-    is being abandoned (timeout, crash) can therefore deadlock the driver
-    against a worker that will never release the lock.  Instead: SIGKILL
-    every worker first (a killed worker can never re-acquire anything),
-    then run ``terminate()`` on a daemon thread with a bounded join, so a
-    teardown that still wedges strands one daemon thread instead of the
-    build.
+    A forked worker inherits its parent's Python signal handlers; a host
+    process that handles SIGTERM itself would otherwise leave a worker
+    stuck in a chunk alive through :func:`_terminate_pool`.
+    """
+    import signal
+
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+
+
+def _terminate_pool(pool) -> None:
+    """Tear down a pool whose workers may be idle, mid-chunk or hung.
+
+    ``Pool.terminate()`` stops the worker handler, whose stop sentinels
+    release the idle workers blocked on the task queue; it then takes the
+    queue's shared read lock, SIGTERMs the workers still in a chunk and
+    joins the pool's handler threads.  Nothing may kill a worker first: an
+    idle worker holds that read lock while it waits for a task, and one
+    killed holding it leaks the lock, so ``terminate()`` never gets past
+    it.  The call runs on a daemon thread with a bounded join, so a lock
+    leaked some other way (a worker killed from outside) strands one
+    thread instead of the build.
     """
     import threading
 
-    for proc in getattr(pool, "_pool", []):
-        try:
-            proc.kill()
-        except Exception:  # already dead / not a real process
-            pass
     reaper = threading.Thread(
         target=pool.terminate, name="repro-pool-reaper", daemon=True
     )
     reaper.start()
-    reaper.join(timeout=_ABANDON_JOIN_S)
+    reaper.join(timeout=_TERMINATE_JOIN_S)
 
 
 def _dispatch_chunks(
@@ -444,16 +452,8 @@ def _pool_map(
         try:
             _POOL_MAPS.inc()
             parts = _dispatch_chunks(pool, runner, chunks, window, timeout)
-        except BaseException:
-            # Workers may be hung or mid-chunk; a synchronous terminate()
-            # can deadlock on the task queue's read-lock (see
-            # _abandon_pool).  Kill-then-background-terminate instead.
-            _abandon_pool(pool)
-            raise
-        else:
-            # Every chunk completed, so the workers are idle at their
-            # task-queue read: the ordinary synchronous teardown is safe.
-            pool.terminate()
+        finally:
+            _terminate_pool(pool)
         # Fold-only-on-success invariant (load-bearing): spans, counter and
         # histogram deltas, and sampler busy marks fold only after *every*
         # chunk arrived.  A failure above abandons the whole pool result and

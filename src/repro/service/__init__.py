@@ -18,8 +18,9 @@ byte-identical served responses to the one-shot batch study.**
 
 Modules
 -------
-- :mod:`repro.service.codec` — dtype-tagged JSON wire format for tables
-  and figure payloads (exact float64 round-trip, canonical bytes).
+- :mod:`repro.service.codec` — columnar wire format for tables and
+  figure payloads (little-endian base64 column buffers, dictionary-coded
+  strings, exact round trip, canonical bytes).
 - :mod:`repro.service.state` — :class:`ServiceState`: the standing folds,
   streaming rollups, layer versions, and the memoized enriched snapshot.
 - :mod:`repro.service.respcache` — :class:`ResponseCache`: per-route

@@ -193,6 +193,7 @@ class MergeableGroupBy:
         its groups come from sorted key codes.
         """
         from repro.tables import Table
+        from repro.tables.column import count_distinct
 
         key_values = sorted(self._groups)
         states = [self._groups[k] for k in key_values]
@@ -246,7 +247,7 @@ class MergeableGroupBy:
                 ])
             elif how == "nunique":
                 out[out_name] = np.array([
-                    len(np.unique(pool(k, s, in_name)))
+                    count_distinct(pool(k, s, in_name))
                     for k, s in zip(key_values, states)
                 ], dtype=np.int64)
             else:  # p<NN>

@@ -156,6 +156,40 @@ class TestMapChunks:
         assert result["elapsed"] < parallel._POOL_SPAWN_BACKOFF_S
 
 
+class TestPoolTeardown:
+    """A degraded map tears its pool down at once and completely: no wait
+    on a teardown thread, and no reaper or pool handler thread left."""
+
+    @pytest.mark.parametrize("cause", ["unpicklable", "chunk_fail", "hang"])
+    def test_fallback_returns_at_once_without_stray_threads(self, cause):
+        import threading
+        import time
+
+        from repro import faults
+
+        func, timeout = _square, None
+        if cause == "unpicklable":
+            func = lambda x: x * x  # noqa: E731 - cannot cross processes
+        elif cause == "chunk_fail":
+            faults.configure("pool.chunk:fail@1")
+        else:
+            faults.configure("pool.chunk:hang")
+            timeout = 0.3
+        before = set(threading.enumerate())
+        items = list(range(64))
+        try:
+            t0 = time.perf_counter()
+            with pytest.warns(RuntimeWarning, match="process pool unavailable"):
+                out = map_chunks(func, items, workers=2, timeout=timeout)
+            elapsed = time.perf_counter() - t0
+        finally:
+            faults.configure(None)
+        assert out == [x * x for x in items]
+        assert elapsed < (timeout or 0.0) + 1.0
+        stray = set(threading.enumerate()) - before
+        assert not stray, sorted(t.name for t in stray)
+
+
 class TestWarnOnce:
     def test_repeated_fallback_warns_once_but_counts_every_event(self):
         # The identical degradation hit twice must not spam two identical

@@ -213,23 +213,19 @@ class TestSmallScale:
 class TestProtocol:
     def test_split_study_partitions_exactly(self, tiny_study):
         """The payloads partition every row and doc: no dupes, no drops."""
+        from repro.service.codec import decode_table
+
         payloads = split_study(tiny_study, 7, seed=2)
         instance_ids: list[int] = []
         batch_ids: list[int] = []
         html_ids: list[int] = []
         for payload in payloads:
             if "instances" in payload:
-                cols = dict(
-                    (name, values)
-                    for name, _, values in payload["instances"]["columns"]
-                )
-                instance_ids.extend(cols["instance_id"])
+                instances = decode_table(payload["instances"])
+                instance_ids.extend(instances["instance_id"].tolist())
             if "catalog" in payload:
-                cols = dict(
-                    (name, values)
-                    for name, _, values in payload["catalog"]["columns"]
-                )
-                batch_ids.extend(cols["batch_id"])
+                catalog = decode_table(payload["catalog"])
+                batch_ids.extend(catalog["batch_id"].tolist())
             if "html" in payload:
                 html_ids.extend(int(i) for i in payload["html"])
         released = tiny_study.released

@@ -111,6 +111,47 @@ class TestIngestFaults:
             tiny_study.released.instances.num_rows
         )
 
+    def test_schema_1_payload_400s_and_state_is_untouched(
+        self, served, tiny_study
+    ):
+        from repro.service.codec import decode_table
+
+        app, client = served
+        payloads = split_study(tiny_study, 3, seed=3)
+        client.ingest(payloads[0])
+        before_reads = _table_reads(client)
+        before_status = client.status()
+        # The same micro-batch in the old per-value JSON list layout.
+        legacy = {"schema": 1, "config_key": payloads[1]["config_key"]}
+        for part in ("catalog", "instances"):
+            if part in payloads[1]:
+                table = decode_table(payloads[1][part])
+                legacy[part] = {"num_rows": table.num_rows, "columns": [
+                    [name, str(table[name].dtype), table[name].tolist()]
+                    for name in table.column_names
+                ]}
+        with pytest.raises(ServiceError) as err:
+            client.ingest(legacy)
+        assert err.value.status == 400
+        assert "unsupported wire schema" in str(err.value.doc)
+        assert client.status() == before_status
+        assert _table_reads(client) == before_reads
+
+    @pytest.mark.parametrize("body", [
+        b'{"schema": "\xc3\x28"}',  # invalid continuation byte
+        b'{"schema": "\xed\xa0\x80"}',  # UTF-8-encoded lone surrogate
+    ])
+    def test_malformed_utf8_400s(self, served, body):
+        _, client = served
+        before_status = client.status()
+        status, _, data = client.request(
+            "POST", "/ingest", body=body,
+            headers={"Content-Type": "application/json"},
+        )
+        assert status == 400
+        assert b"UnicodeDecodeError" in data
+        assert client.status() == before_status
+
     def test_every_ingest_faulted_still_never_kills_server(
         self, served, tiny_study
     ):

@@ -332,6 +332,13 @@ class TestETagContract:
 # --------------------------------------------------------------------- #
 
 
+def _b64(values, dtype) -> str:
+    """Base64 of ``values`` as ``dtype`` bytes: hand-built wire data."""
+    import base64
+
+    return base64.b64encode(np.array(values, dtype=dtype).tobytes()).decode()
+
+
 def _wire_round_trip(value):
     import json as json_mod
 
@@ -389,16 +396,22 @@ class TestWireCodec:
 
         with pytest.raises(CodecError):
             encode_value(np.array([1, 2], dtype=np.int32))
+        with pytest.raises(CodecError):  # N-D arrays are not reshaped
+            encode_value(np.zeros((2, 2)))
         with pytest.raises(CodecError):
             encode_value({1, 2})
-        from repro.service.codec import _column_tag
+        from repro.service.codec import _encode_column
 
         with pytest.raises(CodecError):  # Table can't even hold these, so
-            _column_tag("c", np.array([1 + 2j]))  # the guard is unit-level
+            _encode_column("c", np.array([1 + 2j]))  # the guard is unit-level
         with pytest.raises(CodecError):
             encode_table(
                 Table({"o": np.array([1, "x"], dtype=object)}, copy=False)
             )
+        unhashable = np.empty(2, dtype=object)
+        unhashable[:] = [["x"], "y"]
+        with pytest.raises(CodecError):
+            encode_table(Table({"o": unhashable}, copy=False))
 
     def test_decode_value_rejects_malformed_documents(self):
         from repro.service.codec import CodecError, decode_value
@@ -407,29 +420,127 @@ class TestWireCodec:
             decode_value({"__kind__": "mystery"})
         with pytest.raises(CodecError):
             decode_value({"__kind__": "ndarray", "dtype": "int32",
-                          "values": [1]})
+                          "length": 1, "values": "AQAAAA=="})
+        with pytest.raises(CodecError):  # length disagrees with the bytes
+            decode_value({"__kind__": "ndarray", "dtype": "int64",
+                          "length": 2, "values": _b64([1], "<i8")})
         with pytest.raises(CodecError):
             decode_value(object())
 
     @pytest.mark.parametrize("doc", [
+        # Shape of the document and of each column entry.
         "not a dict",
         {"num_rows": 1},
         {"num_rows": 1, "columns": [["a", "int64"]]},
-        {"num_rows": 1, "columns": [[3, "int64", [1]]]},
-        {"num_rows": 1, "columns": [["a", "int64", [1]],
-                                    ["a", "int64", [2]]]},
-        {"num_rows": 2, "columns": [["a", "int64", [1]]]},
-        {"num_rows": 1, "columns": [["a", "object", [7]]]},
-        {"num_rows": 1, "columns": [["a", "int64", ["x"]]]},
-        {"num_rows": 1, "columns": [["a", "int64", [10**30]]]},
-        {"num_rows": 2, "columns": [["a", "int64", [[1], [2]]]]},
-        {"num_rows": 1, "columns": [["a", "int128", [1]]]},
+        {"num_rows": 1, "columns": [[3, "int64", _b64([1], "<i8")]]},
+        {"num_rows": 1, "columns": [["a", "int64", _b64([1], "<i8")],
+                                    ["a", "int64", _b64([2], "<i8")]]},
+        # Unknown dtype tags.
+        {"num_rows": 1, "columns": [["a", "int128", _b64([1], "<i8")]]},
+        {"num_rows": 1, "columns": [["a", "int32", _b64([1], "<i4")]]},
+        # num_rows itself.
+        {"num_rows": -1, "columns": []},
+        {"num_rows": 1.0, "columns": [["a", "int64", _b64([1], "<i8")]]},
+        {"num_rows": True, "columns": [["a", "int64", _b64([1], "<i8")]]},
+        {"num_rows": "1", "columns": [["a", "int64", _b64([1], "<i8")]]},
+        # Numeric data: not base64 text, or the wrong byte length.
+        {"num_rows": 1, "columns": [["a", "int64", [1]]]},
+        {"num_rows": 1, "columns": [["a", "int64", "AQ@AAAAAAAA="]]},
+        {"num_rows": 1, "columns": [["a", "int64", "AQAA\nAAAAAAA="]]},
+        {"num_rows": 1, "columns": [["a", "int64", "AQAAAAAAAA"]]},
+        {"num_rows": 2, "columns": [["a", "int64", _b64([1], "<i8")]]},
+        {"num_rows": 1, "columns": [["a", "int64", _b64([1, 2], "<i8")]]},
+        {"num_rows": 1, "columns": [["a", "float64", _b64([1], "<i4")]]},
+        # Bool bytes other than 0/1.
+        {"num_rows": 2, "columns": [["a", "bool", _b64([1, 2], "u1")]]},
+        # String columns: layout, dictionary entries, codes.
+        {"num_rows": 1, "columns": [["a", "object", ["x"]]]},
+        {"num_rows": 1, "columns": [["a", "object",
+                                     {"dictionary": ["x"]}]]},
+        {"num_rows": 1, "columns": [["a", "object",
+                                     {"dictionary": "x",
+                                      "codes": _b64([0], "<i4")}]]},
+        {"num_rows": 1, "columns": [["a", "object",
+                                     {"dictionary": [7],
+                                      "codes": _b64([0], "<i4")}]]},
+        {"num_rows": 1, "columns": [["a", "object",
+                                     {"dictionary": ["x"],
+                                      "codes": _b64([1], "<i4")}]]},
+        {"num_rows": 1, "columns": [["a", "object",
+                                     {"dictionary": ["x"],
+                                      "codes": _b64([-1], "<i4")}]]},
+        {"num_rows": 1, "columns": [["a", "object",
+                                     {"dictionary": [],
+                                      "codes": _b64([0], "<i4")}]]},
+        {"num_rows": 2, "columns": [["a", "object",
+                                     {"dictionary": ["x"],
+                                      "codes": _b64([0], "<i4")}]]},
+        {"num_rows": 1, "columns": [["a", "object",
+                                     {"dictionary": ["x"],
+                                      "codes": "!!!!"}]]},
     ])
     def test_decode_table_rejects_malformed_documents(self, doc):
         from repro.service.codec import CodecError, decode_table
 
         with pytest.raises(CodecError):
             decode_table(doc)
+
+    def test_dict_column_encodes_like_its_object_array(self):
+        from repro.service.codec import encode_table
+        from repro.tables.column import DictColumn
+
+        # Unused and out-of-order dictionary entries, as a filtered or
+        # concatenated DictColumn carries them.
+        column = DictColumn(
+            np.array([2, 0, 2, 1], dtype=np.int32),
+            np.array(["b", "a", "c", "unused"], dtype=object),
+        )
+        plain = column.materialize()
+        dict_doc = encode_table(Table({"s": column}, copy=False))
+        plain_doc = encode_table(Table({"s": plain}, copy=False))
+        assert dict_doc["columns"][0][2]["dictionary"] == ["c", "b", "a"]
+        assert table_body(Table({"s": column}, copy=False)) == table_body(
+            Table({"s": plain}, copy=False)
+        )
+        assert dict_doc == plain_doc
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_tables_round_trip_bit_for_bit(self, data):
+        import json as json_mod
+
+        from repro.service import codec
+
+        n = data.draw(st.integers(min_value=0, max_value=12), label="rows")
+        edge_floats = st.sampled_from(
+            [float("nan"), float("inf"), float("-inf"), -0.0, 0.0,
+             5e-324, 1.7976931348623157e308]
+        )
+        table = Table({
+            "i": np.array(data.draw(st.lists(
+                st.one_of(st.integers(-(2**63), 2**63 - 1),
+                          st.sampled_from([2**62, -(2**62)])),
+                min_size=n, max_size=n)), dtype=np.int64),
+            "f": np.array(data.draw(st.lists(
+                st.one_of(st.floats(allow_nan=True), edge_floats),
+                min_size=n, max_size=n)), dtype=np.float64),
+            "b": np.array(data.draw(st.lists(
+                st.booleans(), min_size=n, max_size=n)), dtype=bool),
+            "s": np.array(data.draw(st.lists(
+                st.text(max_size=6), min_size=n, max_size=n)), dtype=object),
+        }, copy=False)
+        body = codec.dumps_canonical(codec.encode_table(table))
+        back = codec.decode_table(json_mod.loads(body))
+        assert back.column_names == table.column_names
+        assert back.num_rows == n
+        for name in table.column_names:
+            assert back[name].dtype == table[name].dtype
+        # Bit-level equality, NaN payloads and the sign of zero included.
+        assert back["i"].tobytes() == table["i"].tobytes()
+        assert back["f"].tobytes() == table["f"].tobytes()
+        assert back["b"].tobytes() == table["b"].tobytes()
+        assert back["s"].tolist() == table["s"].tolist()
+        assert table_body(back) == table_body(table) == body
 
 
 # --------------------------------------------------------------------- #

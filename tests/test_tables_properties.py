@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.tables import Table, group_by, read_csv, write_csv
-from repro.tables.column import as_column, factorize
+from repro.tables.column import as_column, count_distinct, factorize
 
 names = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyz_", min_size=1, max_size=8
@@ -77,6 +77,33 @@ def test_factorize_reconstructs(values):
     rebuilt = uniques[codes]
     assert all(a == b for a, b in zip(rebuilt, array))
     assert len(set(codes.tolist())) == len(uniques)
+
+
+@given(st.one_of(
+    st.lists(st.integers(-(2**63), 2**63 - 1), max_size=60).map(
+        lambda v: np.array(v, dtype=np.int64)),
+    st.lists(st.integers(0, 5), max_size=60).map(
+        lambda v: np.array(v, dtype=np.int64)),
+    st.lists(st.floats(allow_nan=True), max_size=60).map(
+        lambda v: np.array(v, dtype=np.float64)),
+    st.lists(st.sampled_from([0.0, -0.0, float("nan"), float("inf"), 1.5]),
+             max_size=30).map(lambda v: np.array(v, dtype=np.float64)),
+    st.lists(st.booleans(), max_size=20).map(
+        lambda v: np.array(v, dtype=bool)),
+    st.lists(st.text(alphabet="abé", max_size=3), max_size=40).map(
+        lambda v: np.array(v, dtype=object)),
+))
+@settings(max_examples=200, deadline=None)
+def test_count_distinct_equals_np_unique(values):
+    # Empty and single-element arrays are the strategies' smallest cases.
+    assert count_distinct(values) == len(np.unique(values))
+
+
+def test_count_distinct_edge_sizes():
+    assert count_distinct(np.array([], dtype=np.int64)) == 0
+    assert count_distinct(np.array([7], dtype=np.int64)) == 1
+    assert count_distinct(np.array([np.nan])) == 1
+    assert count_distinct(np.array([np.nan, np.nan, 1.0])) == 2
 
 
 @given(
