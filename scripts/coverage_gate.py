@@ -12,6 +12,10 @@ Gates
 - ``src/repro/obs``: **>= 85%**, enforced always.  The observability
   stack (tracing, metrics, sampler, ledger, drift, dashboard) is what
   every perf/fidelity/RSS guard trusts; untested telemetry lies.
+- ``src/repro/html``: **>= 85%**, enforced always.  The task-HTML
+  parser and the one-walk design-feature extractor feed every §2.4
+  design parameter; the differential suites pin them to their reference
+  versions.
 - ``src/repro/parallel.py``: **>= 85%**, enforced always.  The
   as-completed chunk dispatcher carries the deadline-from-dispatch and
   fold-only-on-success invariants every pooled build relies on (a gate
@@ -58,6 +62,7 @@ PACKAGE_GATES: dict[str, float] = {
     "obs": 85.0,
     "parallel": 85.0,
     "service": 85.0,
+    "html": 85.0,
 }
 MIN_REPO_PCT = 80.0
 
@@ -84,6 +89,11 @@ DEFAULT_TESTS = [
     "tests/test_service_equivalence.py",
     "tests/test_service_properties.py",
     "tests/test_service_faults.py",
+    "tests/test_html_parser.py",
+    "tests/test_html_fuzz.py",
+    "tests/test_html_differential.py",
+    "tests/test_shingle_dedupe.py",
+    "tests/test_batch_metrics.py",
 ]
 
 

@@ -19,8 +19,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dataset.release import ReleasedDataset
-from repro.tables import Table
-from repro.tables.column import count_distinct, factorize
+from repro.tables import Table, group_by
+from repro.tables.column import factorize
 
 
 def _pair_disagreement_by_item(
@@ -85,23 +85,29 @@ def compute_batch_metrics(released: ReleasedDataset) -> Table:
     first_occurrence[item_id[::-1]] = np.arange(len(item_id))[::-1]
     item_batch = batch_id[first_occurrence[unique_items]]
 
-    order = np.argsort(batch_id, kind="stable")
-    sorted_batches = batch_id[order]
-    starts = np.flatnonzero(np.r_[True, sorted_batches[1:] != sorted_batches[:-1]])
-    ends = np.r_[starts[1:], len(sorted_batches)]
-    out_batch = sorted_batches[starts]
-
-    task_time = np.empty(len(out_batch))
-    pickup_time = np.empty(len(out_batch))
-    num_items = np.empty(len(out_batch), dtype=np.int64)
-    num_instances = (ends - starts).astype(np.int64)
-    duration = (end - start)[order]
-    pickup = (start - created_at[batch_id])[order]
-    items_ordered = item_id[order]
-    for slot, (s, e) in enumerate(zip(starts, ends)):
-        task_time[slot] = np.median(duration[s:e])
-        pickup_time[slot] = np.median(pickup[s:e])
-        num_items[slot] = count_distinct(items_ordered[s:e])
+    # Per-batch medians and distinct items from the segment kernels (one
+    # sort per column, no per-batch Python loop); groups come out in sorted
+    # batch order.
+    per_batch = group_by(
+        Table(
+            {
+                "batch_id": batch_id,
+                "duration": end - start,
+                "pickup": start - created_at[batch_id],
+                "item_id": item_id,
+            },
+            copy=False,
+        ),
+        "batch_id",
+    ).agg(
+        {
+            "task_time": ("duration", "median"),
+            "pickup_time": ("pickup", "median"),
+            "num_items": ("item_id", "nunique"),
+            "num_instances": ("duration", "count"),
+        }
+    )
+    out_batch = per_batch["batch_id"]
 
     # Average item disagreement per batch (NaN-aware).  ``out_batch`` is
     # sorted, so slots resolve by binary search.
@@ -119,10 +125,10 @@ def compute_batch_metrics(released: ReleasedDataset) -> Table:
         {
             "batch_id": out_batch.astype(np.int64),
             "disagreement": disagreement,
-            "task_time": task_time,
-            "pickup_time": np.maximum(pickup_time, 0.0),
-            "num_items": num_items,
-            "num_instances": num_instances,
+            "task_time": per_batch["task_time"],
+            "pickup_time": np.maximum(per_batch["pickup_time"], 0.0),
+            "num_items": per_batch["num_items"],
+            "num_instances": per_batch["num_instances"],
         },
         copy=False,
     )

@@ -23,6 +23,9 @@ The features mirror the paper's definitions:
 ``has_instructions``
     True when an element carries an ``instructions`` class/id or an
     ``<h1>–<h6>`` heading announcing instructions.
+
+:func:`extract_features` reads all of them in one pre-order walk of the
+parsed tree, visiting each element and each text node once.
 """
 
 from __future__ import annotations
@@ -34,10 +37,10 @@ from repro.html.parser import Element, parse_html
 
 _EXAMPLE_RE = re.compile(r"^examples?(\s+\d+)?\s*:?\s*$", re.IGNORECASE)
 _INSTRUCTIONS_RE = re.compile(r"instruction", re.IGNORECASE)
-_WORD_RE = re.compile(r"\S+")
 
 #: Tags whose text is not shown to workers and is excluded from word counts.
 _NON_RENDERED_TAGS = frozenset({"script", "style", "head", "title"})
+_HEADINGS = frozenset({"h1", "h2", "h3", "h4", "h5", "h6"})
 
 
 @dataclass(frozen=True)
@@ -68,41 +71,34 @@ class InterfaceFeatures:
         }
 
 
-def _rendered_text(element: Element) -> str:
-    if element.tag in _NON_RENDERED_TAGS:
-        return ""
-    parts: list[str] = []
-    for child in element.children:
-        if isinstance(child, Element):
-            parts.append(_rendered_text(child))
-        else:
-            parts.append(child.text)
-    return " ".join(parts)
-
-
-def _count_words(root: Element) -> int:
-    return len(_WORD_RE.findall(_rendered_text(root)))
-
-
-def _is_example_marker(element: Element) -> bool:
-    own = element.own_text().strip()
+def _is_example_marker(own: str) -> bool:
+    own = own.strip()
     return bool(own) and _EXAMPLE_RE.match(own) is not None
 
 
-def _announces_instructions(element: Element) -> bool:
-    if _INSTRUCTIONS_RE.search(element.attr("class")) or _INSTRUCTIONS_RE.search(
-        element.attr("id")
-    ):
+def _announces_instructions(element: Element, own: str) -> bool:
+    attributes = element.attributes
+    if _INSTRUCTIONS_RE.search(
+        attributes.get("class", "")
+    ) or _INSTRUCTIONS_RE.search(attributes.get("id", "")):
         return True
-    if element.tag in ("h1", "h2", "h3", "h4", "h5", "h6"):
-        return _INSTRUCTIONS_RE.search(element.own_text()) is not None
+    if element.tag in _HEADINGS:
+        return _INSTRUCTIONS_RE.search(own) is not None
     return False
 
 
 def extract_features(html: str | Element) -> InterfaceFeatures:
-    """Extract :class:`InterfaceFeatures` from HTML source or a parsed tree."""
+    """Extract :class:`InterfaceFeatures` from HTML source or a parsed tree.
+
+    One iterative pre-order walk computes every feature.  Each stack entry
+    carries whether its element is rendered (no ``script``/``style``/
+    ``head``/``title`` on the path from the root), and words are counted
+    per rendered text node: ``str.split`` and ``\\S+`` agree on whitespace,
+    and rendered text joins nodes with a space, so no word spans two nodes.
+    """
     root = parse_html(html) if isinstance(html, str) else html
 
+    num_words = 0
     num_text_boxes = 0
     num_radio = 0
     num_checkbox = 0
@@ -111,12 +107,16 @@ def extract_features(html: str | Element) -> InterfaceFeatures:
     num_examples = 0
     has_instructions = False
 
-    for element in root.iter_elements():
+    stack: list[tuple[Element, bool]] = [
+        (root, root.tag not in _NON_RENDERED_TAGS)
+    ]
+    while stack:
+        element, rendered = stack.pop()
         tag = element.tag
         if tag == "textarea":
             num_text_boxes += 1
         elif tag == "input":
-            input_type = element.attr("type", "text").lower()
+            input_type = element.attributes.get("type", "text").lower()
             if input_type in ("text", "", "search", "email", "url"):
                 num_text_boxes += 1
             elif input_type == "radio":
@@ -127,13 +127,28 @@ def extract_features(html: str | Element) -> InterfaceFeatures:
             num_select += 1
         elif tag == "img":
             num_images += 1
-        if _is_example_marker(element):
+
+        own_parts: list[str] = []
+        child_elements: list[Element] = []
+        for child in element.children:
+            if isinstance(child, Element):
+                child_elements.append(child)
+            else:
+                own_parts.append(child.text)
+                if rendered:
+                    num_words += len(child.text.split())
+        own = "".join(own_parts)
+        if own and _is_example_marker(own):
             num_examples += 1
-        if not has_instructions and _announces_instructions(element):
+        if not has_instructions and _announces_instructions(element, own):
             has_instructions = True
+        for child in reversed(child_elements):
+            stack.append(
+                (child, rendered and child.tag not in _NON_RENDERED_TAGS)
+            )
 
     return InterfaceFeatures(
-        num_words=_count_words(root),
+        num_words=num_words,
         num_text_boxes=num_text_boxes,
         num_examples=num_examples,
         num_images=num_images,

@@ -44,11 +44,16 @@ class Element:
     # ------------------------------------------------------------------ #
 
     def iter_elements(self) -> Iterator["Element"]:
-        """Depth-first iteration over this element and all descendants."""
-        yield self
-        for child in self.children:
-            if isinstance(child, Element):
-                yield from child.iter_elements()
+        """Depth-first (pre-order) iteration over this element and all
+        descendants, on an explicit stack rather than nested generators."""
+        stack = [self]
+        while stack:
+            element = stack.pop()
+            yield element
+            stack.extend(
+                child for child in reversed(element.children)
+                if isinstance(child, Element)
+            )
 
     def find_all(self, tag: str) -> list["Element"]:
         """All descendant elements (including self) with the given tag."""
@@ -74,16 +79,14 @@ class Element:
 
 
 def _parse_attributes(raw: str) -> dict[str, str]:
+    if not raw or raw.isspace():
+        return {}
     attributes: dict[str, str] = {}
-    for match in _ATTR_RE.finditer(raw):
-        name = match.group(1).lower()
-        value = match.group(2)
-        if value is None:
-            attributes[name] = ""
-        elif value and value[0] in "\"'":
-            attributes[name] = value[1:-1]
-        else:
-            attributes[name] = value
+    # An absent value comes back as "" (a present one is never empty).
+    for name, value in _ATTR_RE.findall(raw):
+        if value and value[0] in "\"'":
+            value = value[1:-1]
+        attributes[name.lower()] = value
     return attributes
 
 
@@ -93,8 +96,9 @@ Token = tuple  # (kind, payload) pairs; see tokenize()
 def tokenize(html: str) -> list[Token]:
     """Lex HTML into ``("open"|"close"|"selfclose", tag, attrs)`` and
     ``("text", payload)`` tokens.  Comments and doctype are discarded."""
-    html = _COMMENT_RE.sub("", html)
-    html = _DOCTYPE_RE.sub("", html)
+    if "<!" in html:  # both comments and doctypes open with "<!"
+        html = _COMMENT_RE.sub("", html)
+        html = _DOCTYPE_RE.sub("", html)
     tokens: list[Token] = []
     pos = 0
     for match in _TAG_RE.finditer(html):

@@ -70,6 +70,13 @@ ENRICHED_TABLES = ("batch_table", "cluster_table", "labels")
 _ALL_LAYERS = ("catalog", "instances", "html")
 
 
+def _unquote_etag(validator: str | None) -> str | None:
+    """The ETag inside a strong ``If-None-Match`` validator, else ``None``."""
+    if validator and len(validator) >= 2 and validator[0] == validator[-1] == '"':
+        return validator[1:-1]
+    return None
+
+
 def figure_names() -> tuple[str, ...]:
     """Every servable figure/table entry point, in suite order."""
     from repro.figures.suite import _FIGURE_ENTRY_POINTS
@@ -199,7 +206,10 @@ class ServiceApp:
     ) -> None:
         """The cached-read flow: deps lookup, render on miss, ETag/304."""
         deps = self.state.version_of(*layers)
-        entry = self.cache.get(path, deps)
+        validator = handler.headers.get("If-None-Match")
+        entry = self.cache.get(
+            path, deps, if_none_match=_unquote_etag(validator)
+        )
         if entry is None:
             try:
                 body = render()
@@ -208,7 +218,7 @@ class ServiceApp:
                 return
             entry = self.cache.put(path, deps, body, JSON_CONTENT_TYPE)
         etag = f'"{entry.etag}"'
-        if handler.headers.get("If-None-Match") == etag:
+        if validator == etag:
             _NOT_MODIFIED.inc()
             handler.send_response(304)
             handler.send_header("ETag", etag)

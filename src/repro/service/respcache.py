@@ -13,7 +13,9 @@ address at once).  Bodies live in an in-memory LRU bounded by
 (:func:`repro.cache.store_response`); an entry whose body was evicted
 from memory but whose dependency key still matches is re-read from disk
 by its ETag — so a hot route's body survives memory pressure without
-ever being recomputed.
+ever being recomputed.  A body larger than the whole memory budget lives
+on the disk tier only.  A conditional request whose validator matches is
+answered from the route metadata alone, without loading the body.
 
 Stale entries are replaced on the next request for their route; metadata
 is one small record per route, so the map cannot grow beyond the route
@@ -42,7 +44,8 @@ class CachedResponse:
 
     etag: str
     content_type: str
-    body: bytes
+    #: ``None`` only for a validated hit (see :meth:`ResponseCache.get`).
+    body: bytes | None
 
 
 class ResponseCache:
@@ -61,12 +64,18 @@ class ResponseCache:
     def entries(self) -> int:
         return len(self._meta)
 
-    def get(self, path: str, deps: tuple) -> CachedResponse | None:
+    def get(
+        self, path: str, deps: tuple, *, if_none_match: str | None = None
+    ) -> CachedResponse | None:
         """The cached response for ``path`` at dependency key ``deps``.
 
         ``None`` when the route was never rendered at these versions (a
         miss, counted) — including when an ingest bumped a layer the route
         reads, which is precisely the invalidation rule.
+
+        ``if_none_match`` is a client's validator (an ETag, unquoted).  When
+        it equals the entry's ETag the answer is a 304, so the body is not
+        loaded, from memory or disk: the hit comes back with ``body=None``.
         """
         from repro import cache as study_cache
 
@@ -76,6 +85,11 @@ class ResponseCache:
                 _CACHE_MISSES.inc()
                 return None
             _, etag, content_type, _ = meta
+            if if_none_match == etag:
+                _CACHE_HITS.inc()
+                return CachedResponse(
+                    etag=etag, content_type=content_type, body=None
+                )
             body = self._bodies.get(etag)
             if body is not None:
                 self._bodies.move_to_end(etag)
@@ -119,6 +133,10 @@ class ResponseCache:
     def _admit(self, etag: str, body: bytes) -> None:
         if etag in self._bodies:
             self._bodies.move_to_end(etag)
+            return
+        if len(body) > self._max_bytes:
+            # Larger than the whole memory budget: it stays on the disk
+            # tier only, and evicts nothing to make room.
             return
         self._bodies[etag] = body
         self._body_bytes += len(body)

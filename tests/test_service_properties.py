@@ -580,6 +580,52 @@ class TestResponseCache:
         shutil.rmtree(study_cache.response_cache_dir())  # lose the disk tier
         assert cache.get("/a", (1,)) is None  # miss -> caller re-renders
 
+    def test_oversized_body_stays_on_disk_and_evicts_nothing(self):
+        from repro.service.respcache import ResponseCache
+
+        evictions = obs.counter("serve.cache_evictions")
+        cache = ResponseCache(max_bytes=150)
+        cache.put("/a", (1,), b"a" * 50, "text/plain")
+        cache.put("/b", (1,), b"b" * 50, "text/plain")
+        e0 = evictions.value
+        big = cache.put("/c", (1,), b"c" * 200, "text/plain")
+        assert evictions.value == e0
+        assert cache._body_bytes == 100
+        assert set(cache._bodies) == {
+            cache.get("/a", (1,)).etag, cache.get("/b", (1,)).etag
+        }
+        # The oversized body is still served, from the disk tier, and is
+        # not admitted on the way back either.
+        entry = cache.get("/c", (1,))
+        assert entry is not None and entry.body == b"c" * 200
+        assert entry.etag == big.etag
+        assert cache._body_bytes == 100
+        assert evictions.value == e0
+
+    def test_matching_validator_skips_the_body(self, monkeypatch):
+        from repro import cache as study_cache
+        from repro.service.respcache import ResponseCache
+
+        hits = obs.counter("serve.cache_hits")
+        cache = ResponseCache(max_bytes=150)
+        stored = cache.put("/big", (1,), b"x" * 400, "text/plain")
+
+        def no_disk_read(etag):
+            raise AssertionError("a 304 must not read the body")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(study_cache, "load_response", no_disk_read)
+            h0 = hits.value
+            entry = cache.get("/big", (1,), if_none_match=stored.etag)
+            assert entry is not None and entry.body is None
+            assert entry.etag == stored.etag
+            assert hits.value == h0 + 1
+        # A stale validator still gets the body (from disk here).
+        entry = cache.get("/big", (1,), if_none_match="0" * 64)
+        assert entry.body == b"x" * 400
+        # Stale dependencies are a miss whatever the validator says.
+        assert cache.get("/big", (2,), if_none_match=stored.etag) is None
+
     def test_stale_deps_and_clear_invalidate(self):
         from repro.service.respcache import ResponseCache
 
