@@ -360,22 +360,6 @@ def test_perf_shard_merge_groupby(benchmark):
     assert out.num_rows == len(set(table["key"]))
 
 
-def test_perf_cluster_two_level(benchmark):
-    """Two-level (per-shard, then representatives) clustering of the bench
-    corpus over 4 shards — the scalable alternative the sharded pipeline
-    offers next to the exact pooled pass (:mod:`repro.shard.cluster`)."""
-    from repro.shard.cluster import cluster_batches_two_level
-
-    corpus = _bench_corpus(num_docs=120, tokens_per_doc=800)
-
-    def run():
-        return cluster_batches_two_level(corpus, num_shards=4)
-
-    mapping = benchmark(run)
-    assert len(mapping) == len(corpus)
-    assert max(mapping.values()) < len(corpus)
-
-
 #: Skewed-shard scheduling workload: one straggler shard carrying 8x the
 #: mean work plus 15 unit shards, two workers.  Sleep-based so the bench
 #: measures *scheduler wall time* (sleeps overlap across pool workers even

@@ -25,17 +25,9 @@ tracked over time instead of one-shot: ``--history`` prints the mean-time
 trajectory of every bench across recorded runs (add ``--top N`` for the
 latest run's ``plan.op.*`` operator hotspots, fed by the lazy-plan
 profiler), and ``repro runs`` can list/diff/dashboard them alongside
-study runs.
-
-Trace modes (no benchmarks are run):
-
-- ``--trace-summary TRACE.json`` prints per-span-name wall/CPU totals from
-  a JSON trace written by a ``--trace`` CLI run;
-- ``--trace-diff CURRENT.json BASE.json`` compares two such traces phase by
-  phase and fails (exit 1) when any span name's total wall time regresses
-  more than ``--tolerance`` beyond the noise floor — per-phase deltas, so a
-  regression points at the pipeline stage that caused it rather than at the
-  end-to-end total.
+study runs.  Per-phase totals of a traced CLI run come from
+``repro trace``; ``repro runs diff`` / ``repro runs check`` compare and
+gate phases across recorded runs.
 """
 
 from __future__ import annotations
@@ -140,18 +132,6 @@ def compare(current: dict, baseline: dict, tolerance: float) -> list[str]:
                 f"(baseline {base:.1f}x)"
             )
     return regressions
-
-
-#: Span names whose baseline total is below this are skipped by
-#: ``--trace-diff`` — sub-10ms phases are all jitter.
-_TRACE_NOISE_FLOOR_S = 0.010
-
-
-def _trace_totals(path: str) -> dict[str, dict[str, float]]:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
-    from repro.obs import aggregate_by_name, load_trace
-
-    return aggregate_by_name(load_trace(path))
 
 
 def _ledger():
@@ -317,61 +297,6 @@ def history(top: int = 0) -> int:
     return 0
 
 
-def trace_summary(path: str) -> int:
-    try:
-        totals = _trace_totals(path)
-    except (OSError, ValueError) as exc:
-        print(f"bench_guard: cannot read trace: {exc}", file=sys.stderr)
-        return 2
-    print(f"bench_guard: per-phase wall totals from {path}")
-    print(f"  {'span':<36} {'count':>6} {'wall':>12} {'cpu':>12}")
-    for name, agg in sorted(totals.items(), key=lambda kv: -kv[1]["wall_s"]):
-        print(
-            f"  {name:<36} {agg['count']:>6.0f} {agg['wall_s'] * 1e3:>9.1f} ms"
-            f" {agg['cpu_s'] * 1e3:>9.1f} ms"
-        )
-    return 0
-
-
-def trace_diff(current_path: str, base_path: str, tolerance: float) -> int:
-    try:
-        current = _trace_totals(current_path)
-        base = _trace_totals(base_path)
-    except (OSError, ValueError) as exc:
-        print(f"bench_guard: cannot read trace: {exc}", file=sys.stderr)
-        return 2
-    print(
-        f"bench_guard: per-phase trace diff ({current_path} vs {base_path})"
-    )
-    regressions = []
-    for name in sorted(set(base) | set(current)):
-        base_wall = base.get(name, {}).get("wall_s", 0.0)
-        cur_wall = current.get(name, {}).get("wall_s", 0.0)
-        if max(base_wall, cur_wall) < _TRACE_NOISE_FLOOR_S:
-            continue
-        if base_wall > 0:
-            delta = cur_wall / base_wall - 1.0
-            note = f"{delta:+7.0%}"
-            if delta > tolerance:
-                regressions.append(
-                    f"{name}: {cur_wall * 1e3:.1f} ms vs "
-                    f"{base_wall * 1e3:.1f} ms ({delta:+.0%})"
-                )
-        else:
-            note = "    new"
-        print(
-            f"  {name:<36} {cur_wall * 1e3:>9.1f} ms"
-            f" (base {base_wall * 1e3:>9.1f} ms) {note}"
-        )
-    if regressions:
-        print("\nbench_guard: PER-PHASE TRACE REGRESSIONS:", file=sys.stderr)
-        for line in regressions:
-            print(f"  {line}", file=sys.stderr)
-        return 1
-    print(f"bench_guard: OK (no phase beyond +{tolerance * 100:.0f}%)")
-    return 0
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -392,17 +317,6 @@ def main() -> int:
         help="pytest-benchmark rounds per bench (default 5)",
     )
     parser.add_argument(
-        "--trace-summary",
-        metavar="TRACE",
-        help="print per-span-name totals from a JSON trace and exit",
-    )
-    parser.add_argument(
-        "--trace-diff",
-        nargs=2,
-        metavar=("CURRENT", "BASE"),
-        help="diff two JSON traces phase by phase and exit 1 on regression",
-    )
-    parser.add_argument(
         "--history",
         action="store_true",
         help="print the bench trajectory from the run ledger and exit",
@@ -419,10 +333,6 @@ def main() -> int:
 
     if args.history:
         return history(args.top)
-    if args.trace_summary:
-        return trace_summary(args.trace_summary)
-    if args.trace_diff:
-        return trace_diff(*args.trace_diff, tolerance=args.tolerance)
 
     current = summarize(run_benchmarks(args.min_rounds))
 

@@ -80,7 +80,6 @@ DEFAULT_TESTS = [
     "tests/test_tables_properties.py",
     "tests/test_tables_plan.py",
     "tests/test_tables_dict.py",
-    "tests/test_stats_bootstrap_pivot.py",
     "tests/test_obs.py",
     "tests/test_sampler.py",
     "tests/test_ledger.py",

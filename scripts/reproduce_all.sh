@@ -19,8 +19,8 @@
 #   report_skewed.txt  - the 4-shard report with an injected straggler shard
 #                        under a live pool: work stealing reschedules, bytes
 #                        must not change (must diff clean)
-#   report_eager.txt   - the same report with the lazy query engine disabled
-#                        via REPRO_TABLES_EAGER=1 (must diff clean)
+#   report_eager.txt   - the same report with the plan optimizer replaced by
+#                        the identity (must diff clean)
 #   report_sampled.txt - the same report with --sample resource telemetry
 #                        recording a utilization timeline (must diff clean)
 #   report_live.txt    - the 4-shard report built with --live while curls
@@ -53,7 +53,7 @@ python -m pytest tests/ 2>&1 | tee "$OUT/test_output.txt" | tail -1
 echo "== 2/18 tests again with a live process pool (REPRO_WORKERS=2) =="
 REPRO_WORKERS=2 python -m pytest tests/ 2>&1 | tee "$OUT/test_workers2.txt" | tail -1
 
-echo "== 3/18 coverage gate (src/repro/{shard,tables,obs,service} >= 85%) =="
+echo "== 3/18 coverage gate (src/repro/{shard,tables,obs,parallel,service,html} >= 85%) =="
 python scripts/coverage_gate.py 2>&1 | tee "$OUT/coverage_gate.txt" | tail -2
 
 echo "== 4/18 substrate bench guard (fails on >25% regression vs BENCH_substrate.json) =="
@@ -108,15 +108,23 @@ diff "$OUT/report_clean.txt" "$OUT/report_skewed.txt"   # set -e: a diff is fata
 rm -rf "$OUT/skew_cache"
 echo "skewed sharded run identical to clean run"
 
-echo "== 11/18 lazy query engine off (REPRO_TABLES_EAGER=1 report must match the lazy one) =="
-# A private cache dir forces a genuine eager rebuild; the diff proves the
-# plan optimizer and parallel kernel dispatch never change a single byte.
-REPRO_CACHE_DIR="$OUT/eager_cache" REPRO_TABLES_EAGER=1 REPRO_NO_LEDGER=1 \
-    python -m repro report --scale medium --seed 7 \
-    > "$OUT/report_eager.txt"
+echo "== 11/18 plan optimizer off (an unoptimized report must match the optimized one) =="
+# A private cache dir forces a genuine rebuild with every lazy plan run
+# exactly as recorded (optimize() patched to the identity); the diff proves
+# the plan optimizer never changes a single byte.
+REPRO_CACHE_DIR="$OUT/eager_cache" REPRO_NO_LEDGER=1 \
+    python - > "$OUT/report_eager.txt" <<'PY'
+from unittest import mock
+
+from repro.cli import main
+from repro.tables import plan
+
+with mock.patch.object(plan, "optimize", lambda node: node):
+    raise SystemExit(main(["report", "--scale", "medium", "--seed", "7"]))
+PY
 diff "$OUT/report_clean.txt" "$OUT/report_eager.txt"   # set -e: a diff is fatal
 rm -rf "$OUT/eager_cache"
-echo "eager-engine run identical to lazy-engine run"
+echo "unoptimized run identical to optimized run"
 
 echo "== 12/18 resource telemetry (sampled 4-shard medium report must match the clean one) =="
 # The sampler writes only into the run record, never to stdout: a sampled

@@ -36,7 +36,8 @@ Commands
 Every study-building command accepts ``--trace`` (or ``REPRO_TRACE=1``):
 the run records a hierarchical span trace (see :mod:`repro.obs`), prints
 the timing tree afterwards, and writes a JSON trace file for later
-``repro trace`` / ``scripts/bench_guard.py --trace-diff`` consumption.
+``repro trace`` consumption; ``repro runs diff`` compares the phases of
+recorded runs.
 
 They also accept ``--faults SPEC`` (or ``REPRO_FAULTS``): deterministic
 fault injection into the cache/pool/dataset failure paths (see

@@ -53,7 +53,6 @@ from repro.obs.trace import (
     SpanRecord,
     Trace,
     current_trace,
-    disable,
     enable,
     enabled,
     env_enabled,
@@ -95,7 +94,6 @@ __all__ = [
     "counter_deltas",
     "current_trace",
     "dashboard",
-    "disable",
     "drift",
     "enable",
     "enabled",

@@ -38,7 +38,7 @@ _TREND_COUNTERS = (
     "parallel.serial_fallback", "parallel.timeout", "faults.injected",
     "ledger.corrupt",
     "plan.fused_ops", "plan.pushdowns", "plan.cache_hit",
-    "plan.parallel_branches", "dict.encoded_columns",
+    "dict.encoded_columns",
 )
 
 

@@ -4,8 +4,9 @@ Three consumers, one span schema:
 
 - :func:`render_tree` — the human-readable nested timing tree printed after
   a ``--trace`` CLI run;
-- :func:`write_trace_json` — a stable JSON file (schema below) for diffing
-  runs across commits (``scripts/bench_guard.py --trace-diff``);
+- :func:`write_trace_json` — a stable JSON file (schema below) that
+  ``repro trace`` reads back; phases are compared across runs with
+  ``repro runs diff``;
 - :func:`summarize_trace` — the per-span-name aggregate table behind the
   ``repro trace`` command.
 

@@ -169,12 +169,6 @@ def enable(name: str = "trace", *, mem: bool | None = None) -> Trace:
     return _trace
 
 
-def disable() -> None:
-    """Stop recording spans (the collected trace stays readable)."""
-    global _enabled
-    _enabled = False
-
-
 def finish() -> Trace | None:
     """Stop recording and return the collected trace (``None`` if never on).
 

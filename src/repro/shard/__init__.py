@@ -32,16 +32,12 @@ Modules
 :mod:`repro.shard.merge`
     Mergeable partial aggregates for group-by results (the out-of-core
     merge algebra; CDF/histogram merges live on the stats classes).
-:mod:`repro.shard.cluster`
-    Two-level minhash/LSH clustering (within shard, then across shard
-    representatives) for when a single global clustering pass is too big.
 :mod:`repro.shard.build`
     Orchestration: fan shard builds out over :mod:`repro.parallel`,
     spill, load, and merge into a released + enriched pair.
 """
 
 from repro.shard.build import build_released_enriched, build_shard_partial
-from repro.shard.cluster import cluster_batches_two_level
 from repro.shard.merge import MergeableGroupBy, merge_group_by
 from repro.shard.partition import (
     SHARDS_ENV,
@@ -56,7 +52,6 @@ __all__ = [
     "ShardPartial",
     "build_released_enriched",
     "build_shard_partial",
-    "cluster_batches_two_level",
     "load_partial",
     "merge_group_by",
     "resolve_shards",

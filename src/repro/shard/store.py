@@ -396,21 +396,3 @@ def load_partial(
         shingle_arrays=shingle_arrays,
     )
 
-
-def clear_shards() -> int:
-    """Remove every spilled shard set; returns how many were removed."""
-    root = cache_dir() / ".shards"
-    if not root.is_dir():
-        return 0
-    try:
-        children = sorted(root.iterdir())
-    except OSError:
-        return 0
-    removed = 0
-    for entry in children:
-        if not entry.is_dir():
-            continue
-        shutil.rmtree(entry, ignore_errors=True)
-        if not entry.name.startswith("."):
-            removed += 1
-    return removed

@@ -5,11 +5,6 @@ p-value uses an incomplete-beta evaluation of the Student-t survival
 function); tests cross-check against scipy where it is available.
 """
 
-from repro.stats.bootstrap import (
-    BootstrapInterval,
-    bootstrap_difference,
-    bootstrap_interval,
-)
 from repro.stats.cdf import EmpiricalCDF, cdf_dominates
 from repro.stats.descriptive import (
     gini_coefficient,
@@ -31,10 +26,7 @@ from repro.stats.timeseries import (
 from repro.stats.ttest import TTestResult, welch_t_test
 
 __all__ = [
-    "BootstrapInterval",
     "EmpiricalCDF",
-    "bootstrap_difference",
-    "bootstrap_interval",
     "Histogram",
     "TTestResult",
     "WEEK_SECONDS",

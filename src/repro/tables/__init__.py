@@ -13,8 +13,8 @@ arrays:
   (count, sum, mean, median, min, max, nunique, percentiles, first, collect).
 - :func:`~repro.tables.join.hash_join` — inner and left equi-joins.
 - :class:`~repro.tables.plan.LazyFrame` — lazy logical plans with filter
-  fusion, projection pushdown, and parallel kernel dispatch; start one with
-  ``table.lazy()`` and run it with ``collect()``.
+  fusion and projection pushdown; start one with ``table.lazy()`` and run it
+  with ``collect()``.
 - :mod:`~repro.tables.io` — CSV and JSONL round-trips with type inference.
 
 Design notes
@@ -34,7 +34,6 @@ from repro.tables.column import (
     column_kind,
     concat_dict_columns,
     dict_encode,
-    is_numeric,
 )
 from repro.tables.expr import Expr, col, lit
 from repro.tables.groupby import GroupedTable, group_by
@@ -45,7 +44,6 @@ from repro.tables.io import (
     write_jsonl,
 )
 from repro.tables.join import hash_join
-from repro.tables.pivot import normalize_rows, pivot
 from repro.tables.plan import LazyFrame, OpProfile, optimize, profile_hotspots
 from repro.tables.table import Table, concat_tables
 
@@ -64,11 +62,8 @@ __all__ = [
     "dict_encode",
     "group_by",
     "hash_join",
-    "is_numeric",
     "lit",
-    "normalize_rows",
     "optimize",
-    "pivot",
     "profile_hotspots",
     "read_csv",
     "read_jsonl",

@@ -167,11 +167,6 @@ def column_kind(values: np.ndarray | DictColumn) -> str:
     raise ColumnTypeError(f"unsupported column dtype: {values.dtype!r}")
 
 
-def is_numeric(values: np.ndarray) -> bool:
-    """True for int and float columns (bool is *not* numeric here)."""
-    return column_kind(values) in ("int", "float")
-
-
 def _coerce_object_array(values: Sequence[Any]) -> np.ndarray:
     out = np.empty(len(values), dtype=object)
     for i, value in enumerate(values):

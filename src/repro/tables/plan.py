@@ -17,14 +17,11 @@ passes through an optimizer that
   operators stop materializing columns nobody reads (``plan.pushdowns``).
 
 The executor memoizes shared subplans (``plan.cache_hit``/``cache_miss``)
-and, when ``REPRO_WORKERS`` enables a pool, dispatches the two sides of a
-join and the first full-length filter mask of large scans through
-:mod:`repro.parallel` (``plan.parallel_branches``).
-
-Setting ``REPRO_TABLES_EAGER=1`` skips the optimizer and the parallel
-dispatch entirely, executing the recorded plan node by node through the
-eager operators — the differential reference used by the byte-identity
-harness in ``scripts/reproduce_all.sh``.
+and runs every operator in-process.  Executing the raw, unoptimized plan
+(:func:`_execute` on the recorded node) goes through the eager operators
+node by node; the tests and ``scripts/reproduce_all.sh`` use it, by
+replacing :func:`optimize` with the identity, as the byte-identity
+reference for the optimizer.
 
 Every rewrite preserves eager semantics bit for bit: predicates evaluate in
 their original order on exactly the rows that survived the preceding
@@ -34,16 +31,13 @@ operands either way.
 
 from __future__ import annotations
 
-import os
-import pickle
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
-from repro import obs, parallel
-from repro.tables.column import DictColumn
+from repro import obs
 from repro.tables.expr import Expr
 from repro.tables.groupby import group_by
 from repro.tables.join import hash_join
@@ -53,24 +47,9 @@ _FUSED_OPS = obs.counter("plan.fused_ops")
 _PUSHDOWNS = obs.counter("plan.pushdowns")
 _CACHE_HIT = obs.counter("plan.cache_hit")
 _CACHE_MISS = obs.counter("plan.cache_miss")
-_PARALLEL_BRANCHES = obs.counter("plan.parallel_branches")
 _COLLECTS = obs.counter("plan.collects")
 _ANALYZED = obs.counter("plan.analyzed")
 _EXEC_SECONDS = obs.histogram("plan.exec_seconds")
-
-#: Environment variable: execute plans unoptimized, node by node, through
-#: the eager operators (the byte-identity reference).
-EAGER_ENV = "REPRO_TABLES_EAGER"
-
-#: A join side is only worth shipping to a worker process when its subtree
-#: scans at least this many rows (pickling the scan dominates below that).
-_PARALLEL_BRANCH_MIN_ROWS = 1 << 20
-#: Full-length filter masks partition across the pool above this row count.
-_PARALLEL_MASK_MIN_ROWS = 1 << 18
-
-
-def _eager_mode() -> bool:
-    return bool(os.environ.get(EAGER_ENV, "").strip())
 
 
 # --------------------------------------------------------------------- #
@@ -269,82 +248,9 @@ def _validate_mask(mask: np.ndarray, length: int) -> np.ndarray:
     return mask
 
 
-def _slice_column(column: np.ndarray | DictColumn, lo: int, hi: int):
-    if isinstance(column, DictColumn):
-        return DictColumn(column.codes[lo:hi], column.uniques)
-    return column[lo:hi]
-
-
-def _mask_chunk(item: tuple[Table, Expr]) -> np.ndarray:
-    sub, predicate = item
-    return np.asarray(predicate.evaluate(sub))
-
-
-def _fn_picklable(fn: Any) -> bool:
-    try:
-        pickle.dumps(fn)
-    except Exception:
-        return False
-    return True
-
-
-def _expr_picklable(expr: Expr) -> bool:
-    if expr.kind in ("map", "lit") and not isinstance(
-        expr.payload, (str, int, float, bool, frozenset, tuple, type(None))
-    ):
-        if not _fn_picklable(expr.payload):
-            return False
-    return all(_expr_picklable(child) for child in expr.children)
-
-
-class _FilterStats:
-    """Per-operator observations made inside the filter kernel when a
-    profiled execution (``explain(analyze=True)``) is underway."""
-
-    __slots__ = ("survivors", "fanout")
-
-    def __init__(self) -> None:
-        #: Rows surviving after each predicate of the chain, in order.
-        self.survivors: list[int] = []
-        #: Chunks dispatched to the worker pool for the first mask (0 = serial).
-        self.fanout = 0
-
-
-def _full_length_mask(
-    table: Table,
-    predicate: Any,
-    workers: int,
-    stats: _FilterStats | None = None,
-) -> np.ndarray:
-    """Evaluate the first predicate of a chain over every row.
-
-    Large expression masks partition row ranges across the worker pool —
-    elementwise expressions are chunk-independent, so the concatenated mask
-    is byte-identical to a serial evaluation.
-    """
+def _full_length_mask(table: Table, predicate: Any) -> np.ndarray:
+    """Evaluate the first predicate of a chain over every row."""
     n = table.num_rows
-    if (
-        isinstance(predicate, Expr)
-        and workers > 1
-        and n >= _PARALLEL_MASK_MIN_ROWS
-        and predicate.columns()
-        and _expr_picklable(predicate)
-    ):
-        cols = sorted(predicate.columns())
-        bounds = np.linspace(0, n, workers * 2 + 1).astype(np.int64)
-        items = []
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
-            if hi > lo:
-                sub = Table(
-                    {c: _slice_column(table.column(c), int(lo), int(hi)) for c in cols},
-                    copy=False,
-                )
-                items.append((sub, predicate))
-        _PARALLEL_BRANCHES.inc()
-        if stats is not None:
-            stats.fanout = len(items)
-        masks = parallel.map_chunks(_mask_chunk, items, min_items=1, chunk_size=1)
-        return _validate_mask(np.concatenate(masks), n)
     if callable(predicate):
         return _validate_mask(predicate(table), n)
     return _validate_mask(predicate, n)
@@ -354,8 +260,7 @@ def _apply_filter(
     table: Table,
     predicates: Sequence[Any],
     projection: Sequence[str] | None = None,
-    workers: int = 1,
-    stats: _FilterStats | None = None,
+    survivors: list[int] | None = None,
 ) -> Table:
     """Apply a predicate chain and optional projection in a single pass.
 
@@ -364,6 +269,8 @@ def _apply_filter(
     references (callables and raw masks fall back to a full intermediate),
     preserving exact sequential semantics.  Rows are gathered from the
     source table exactly once, at the end, for just the projected columns.
+    A profiled execution passes ``survivors``, which receives the row count
+    left after each predicate, in order.
     """
     if projection is not None:
         missing = [n for n in projection if n not in table]
@@ -372,7 +279,7 @@ def _apply_filter(
     idx: np.ndarray | None = None
     for predicate in predicates:
         if idx is None:
-            mask = _full_length_mask(table, predicate, workers, stats)
+            mask = _full_length_mask(table, predicate)
             idx = np.flatnonzero(mask)
         else:
             if isinstance(predicate, Expr):
@@ -387,8 +294,8 @@ def _apply_filter(
             else:
                 mask = _validate_mask(predicate, len(idx))
             idx = idx[mask]
-        if stats is not None:
-            stats.survivors.append(int(idx.size))
+        if survivors is not None:
+            survivors.append(int(idx.size))
     if idx is None:
         return table if projection is None else table.select(list(projection))
     names = list(projection) if projection is not None else table.column_names
@@ -571,9 +478,6 @@ class OpProfile:
     cpu_s: float
     #: Times this operator's memoized result was reused by another parent.
     memo_hits: int = 0
-    #: Worker-pool tasks dispatched while executing this operator
-    #: (mask chunks for filters, sides for joins; 0 = fully in-process).
-    fanout: int = 0
     #: Rows surviving after each predicate of a filter chain, in order.
     survivors: tuple[int, ...] = ()
     children: list["OpProfile"] = field(default_factory=list)
@@ -603,7 +507,7 @@ class OpProfile:
             "op": self.op, "detail": self.detail,
             "rows_in": list(self.rows_in), "rows_out": self.rows_out,
             "wall_s": self.wall_s, "cpu_s": self.cpu_s,
-            "memo_hits": self.memo_hits, "fanout": self.fanout,
+            "memo_hits": self.memo_hits,
             "selectivity": list(self.selectivity),
             "children": [c.to_dict() for c in self.children],
         }
@@ -615,65 +519,19 @@ def profile_hotspots(root: OpProfile, top: int = 5) -> list[OpProfile]:
     return sorted(seen.values(), key=lambda p: -p.wall_s)[:top]
 
 
-class _ProfileSink:
-    """Accumulates :class:`OpProfile` nodes during a profiled execution."""
-
-    __slots__ = ("profiles", "fanout")
-
-    def __init__(self) -> None:
-        self.profiles: dict[int, OpProfile] = {}
-        #: Fanout observed outside the operator's own kernel (join sides),
-        #: keyed by plan-node id and claimed when its profile is built.
-        self.fanout: dict[int, int] = {}
-
-
-def _max_scan_rows(node: PlanNode) -> int:
-    if isinstance(node, Scan):
-        return node.table.num_rows
-    return max((_max_scan_rows(c) for c in _children(node)), default=0)
-
-
-def _plan_picklable(node: PlanNode) -> bool:
-    if isinstance(node, (Filter, FusedFilter)):
-        predicates = (
-            node.predicates if isinstance(node, FusedFilter) else (node.predicate,)
-        )
-        for predicate in predicates:
-            if isinstance(predicate, Expr):
-                if not _expr_picklable(predicate):
-                    return False
-            elif callable(predicate):
-                if not _fn_picklable(predicate):
-                    return False
-    if isinstance(node, GroupByAgg):
-        for _in, how in node.spec.values():
-            if callable(how) and not _fn_picklable(how):
-                return False
-    if isinstance(node, WithColumn):
-        if isinstance(node.values, Expr) and not _expr_picklable(node.values):
-            return False
-    return all(_plan_picklable(c) for c in _children(node))
-
-
-def _collect_branch(node: PlanNode) -> Table:
-    # Workers pin themselves to serial execution: no nested pools.
-    return _execute(node, {}, workers=1)
-
-
 def _apply_node(
     node: PlanNode,
     inputs: Sequence[Table],
-    workers: int,
-    stats: _FilterStats | None = None,
+    survivors: list[int] | None = None,
 ) -> Table:
     """Run one operator over already-executed inputs (child order)."""
     if isinstance(node, Scan):
         return node.table
     if isinstance(node, Filter):
-        return _apply_filter(inputs[0], (node.predicate,), None, workers, stats)
+        return _apply_filter(inputs[0], (node.predicate,), None, survivors)
     if isinstance(node, FusedFilter):
         return _apply_filter(
-            inputs[0], node.predicates, node.projection, workers, stats
+            inputs[0], node.predicates, node.projection, survivors
         )
     if isinstance(node, Project):
         return inputs[0].select(list(node.names))
@@ -704,14 +562,16 @@ def _apply_node(
 def _execute(
     node: PlanNode,
     memo: dict[int, Table],
-    workers: int,
-    sink: _ProfileSink | None = None,
+    profiles: dict[int, OpProfile] | None = None,
 ) -> Table:
+    """Execute ``node`` bottom-up, memoizing results by node id; a
+    profiled execution also fills ``profiles`` with one
+    :class:`OpProfile` per executed node id."""
     cached = memo.get(id(node))
     if cached is not None:
         _CACHE_HIT.inc()
-        if sink is not None:
-            prof = sink.profiles.get(id(node))
+        if profiles is not None:
+            prof = profiles.get(id(node))
             if prof is not None:
                 prof.memo_hits += 1
         return cached
@@ -719,77 +579,31 @@ def _execute(
 
     # Children run before the operator's own clock starts, so wall/CPU
     # below is attributable to this operator alone.
-    if isinstance(node, Join):
-        inputs = _execute_join_sides(node, memo, workers, sink)
-    else:
-        inputs = [_execute(c, memo, workers, sink) for c in _children(node)]
+    inputs = [_execute(c, memo, profiles) for c in _children(node)]
 
     op = _OP_NAMES[type(node)]
-    stats = _FilterStats() if sink is not None else None
+    survivors: list[int] | None = [] if profiles is not None else None
     with obs.span(f"plan.op.{op}"):
         t0 = time.perf_counter()
         c0 = time.thread_time()
-        result = _apply_node(node, inputs, workers, stats)
+        result = _apply_node(node, inputs, survivors)
         wall = time.perf_counter() - t0
         cpu = time.thread_time() - c0
     _EXEC_SECONDS.observe(wall)
 
     memo[id(node)] = result
-    if sink is not None:
-        sink.profiles[id(node)] = OpProfile(
+    if profiles is not None:
+        profiles[id(node)] = OpProfile(
             op=op,
             detail=_node_label(node),
             rows_in=tuple(t.num_rows for t in inputs),
             rows_out=result.num_rows,
             wall_s=wall,
             cpu_s=cpu,
-            fanout=stats.fanout or sink.fanout.pop(id(node), 0),
-            survivors=tuple(stats.survivors),
-            children=[sink.profiles[id(c)] for c in _children(node)],
+            survivors=tuple(survivors),
+            children=[profiles[id(c)] for c in _children(node)],
         )
     return result
-
-
-def _execute_join_sides(
-    node: Join,
-    memo: dict[int, Table],
-    workers: int,
-    sink: _ProfileSink | None = None,
-) -> list[Table]:
-    """Execute both join inputs, shipping them to the pool when independent
-    and heavy enough that the pickling round-trip pays for itself."""
-    sides = (node.left, node.right)
-    if (
-        workers > 1
-        and all(not isinstance(s, Scan) for s in sides)
-        and all(id(s) not in memo for s in sides)
-        and all(_max_scan_rows(s) >= _PARALLEL_BRANCH_MIN_ROWS for s in sides)
-        and all(_plan_picklable(s) for s in sides)
-    ):
-        _PARALLEL_BRANCHES.inc()
-        t0 = time.perf_counter()
-        results = parallel.map_chunks(
-            _collect_branch, list(sides), min_items=1, chunk_size=1
-        )
-        wall = time.perf_counter() - t0
-        for side, table in zip(sides, results):
-            memo[id(side)] = table
-            if sink is not None:
-                # The side ran opaquely in a worker process: profile it as
-                # one leaf (per-operator detail stays in that process).
-                sink.profiles[id(side)] = OpProfile(
-                    op="subplan",
-                    detail=f"{_OP_NAMES[type(side)]} subtree "
-                           "(executed in worker process)",
-                    rows_in=(),
-                    rows_out=table.num_rows,
-                    wall_s=wall,
-                    cpu_s=0.0,
-                )
-        if sink is not None:
-            sink.fanout[id(node)] = len(sides)
-        return list(results)
-    return [_execute(side, memo, workers, sink) for side in sides]
 
 
 # --------------------------------------------------------------------- #
@@ -818,7 +632,7 @@ class LazyFrame:
     def __init__(self, node: PlanNode):
         self._node = node
         self._cached: Table | None = None
-        self._profiled: tuple[PlanNode, _ProfileSink, Table] | None = None
+        self._profiled: tuple[PlanNode, dict[int, OpProfile], Table] | None = None
 
     @classmethod
     def scan(cls, table: Table) -> "LazyFrame":
@@ -895,18 +709,13 @@ class LazyFrame:
             _CACHE_HIT.inc()
             return self._cached
         _COLLECTS.inc()
-        node = self._node
-        workers = 1
-        if not _eager_mode():
-            node = optimize(node)
-            workers = parallel.worker_count()
-        self._cached = _execute(node, {}, workers)
+        self._cached = _execute(optimize(self._node), {})
         return self._cached
 
-    def _analyze(self) -> tuple[PlanNode, _ProfileSink, Table]:
+    def _analyze(self) -> tuple[PlanNode, dict[int, OpProfile], Table]:
         """Execute the plan under per-operator profiling.
 
-        Returns the executed (optimized) plan, the profile sink keyed by
+        Returns the executed (optimized) plan, its profiles keyed by
         plan-node id, and the result table — which is also cached on the
         frame, so a following :meth:`collect` costs nothing extra.  The
         profile itself is memoized too: ``explain(analyze=True)`` followed
@@ -914,45 +723,40 @@ class LazyFrame:
         """
         if self._profiled is not None:
             return self._profiled
-        node = self._node
-        workers = 1
-        if not _eager_mode():
-            node = optimize(node)
-            workers = parallel.worker_count()
-        sink = _ProfileSink()
+        node = optimize(self._node)
+        profiles: dict[int, OpProfile] = {}
         _ANALYZED.inc()
         with obs.span("plan.analyze"):
-            result = _execute(node, {}, workers, sink)
+            result = _execute(node, {}, profiles)
         if self._cached is None:
             self._cached = result
-        self._profiled = (node, sink, result)
+        self._profiled = (node, profiles, result)
         return self._profiled
 
     def profile(self) -> OpProfile:
         """Run the plan and return its root :class:`OpProfile` — the same
         tree ``explain(analyze=True)`` renders, as structured data."""
-        node, sink, _result = self._analyze()
-        return sink.profiles[id(node)]
+        node, profiles, _result = self._analyze()
+        return profiles[id(node)]
 
     def explain(self, analyze: bool = False) -> str:
-        """Render the optimized plan (or the raw plan in eager mode).
+        """Render the optimized plan.
 
         With ``analyze=True`` the plan is *executed* under per-operator
         profiling and every line gains rows-out, wall/CPU time, per-
-        predicate selectivity, memoization hits, and worker fanout.
+        predicate selectivity, and memoization hits.
         """
         profiles: dict[int, OpProfile] = {}
         if analyze:
-            node, sink, _result = self._analyze()
-            profiles = sink.profiles
+            node, profiles, _result = self._analyze()
         else:
-            node = self._node if _eager_mode() else optimize(self._node)
+            node = optimize(self._node)
         lines: list[str] = []
 
         def annotate(n: PlanNode) -> str:
             prof = profiles.get(id(n))
             if prof is None:
-                return "" if not profiles else "  (ran in worker process)"
+                return ""
             bits = [
                 f"rows={prof.rows_out}",
                 f"wall={prof.wall_s * 1e3:.2f}ms",
@@ -964,8 +768,6 @@ class LazyFrame:
                 )
             if prof.memo_hits:
                 bits.append(f"memo_hits={prof.memo_hits}")
-            if prof.fanout:
-                bits.append(f"fanout={prof.fanout}")
             return "  (" + ", ".join(bits) + ")"
 
         def render(n: PlanNode, depth: int) -> None:

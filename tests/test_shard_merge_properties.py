@@ -13,8 +13,7 @@ the algebra :mod:`repro.shard.merge` documents:
   uses :func:`math.fsum`).
 
 The same partition-invariance law is pinned for the CDF and histogram
-merge kernels, and the two-level clustering is checked to recover at
-least the near-duplicate pairs the single-level pass finds.
+merge kernels.
 """
 
 from __future__ import annotations
@@ -23,7 +22,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.shard.cluster import cluster_batches_two_level
 from repro.shard.merge import MergeableGroupBy, merge_group_by
 from repro.stats.cdf import EmpiricalCDF
 from repro.stats.histogram import Histogram, linear_histogram
@@ -189,92 +187,3 @@ class TestStatsMergeLaws:
         with pytest.raises(ValueError):
             Histogram.merge([])
 
-
-def _near_duplicate_corpus(
-    num_groups: int, group_size: int, seed: int
-) -> tuple[dict[int, str], set[tuple[int, int]]]:
-    """HTML-ish documents in near-duplicate groups, plus the true pairs.
-
-    Members of a group share a long template and differ by one short
-    mutated sentence — the regime HTML template reuse produces, where any
-    member is representative of its group.
-    """
-    rng = np.random.default_rng(seed)
-    vocabulary = [f"word{i}" for i in range(400)]
-    corpus: dict[int, str] = {}
-    true_pairs: set[tuple[int, int]] = set()
-    batch_id = 0
-    for group in range(num_groups):
-        template = " ".join(rng.choice(vocabulary, size=120))
-        members = []
-        for member in range(group_size):
-            mutation = " ".join(rng.choice(vocabulary, size=3))
-            corpus[batch_id] = (
-                f"<html><body><p>{template}</p>"
-                f"<p>g{group} {mutation}</p></body></html>"
-            )
-            members.append(batch_id)
-            batch_id += 1
-        true_pairs.update(
-            (a, b) for i, a in enumerate(members) for b in members[i + 1:]
-        )
-    return corpus, true_pairs
-
-
-def _clustered_pairs(assignment: dict[int, int]) -> set[tuple[int, int]]:
-    members: dict[int, list[int]] = {}
-    for batch_id, cluster in assignment.items():
-        members.setdefault(cluster, []).append(batch_id)
-    pairs: set[tuple[int, int]] = set()
-    for group in members.values():
-        group.sort()
-        pairs.update(
-            (a, b) for i, a in enumerate(group) for b in group[i + 1:]
-        )
-    return pairs
-
-
-class TestTwoLevelClustering:
-    @pytest.mark.parametrize("num_shards", [2, 4])
-    def test_recall_at_least_single_level(self, num_shards):
-        from repro.enrichment.clustering import cluster_batches
-
-        corpus, true_pairs = _near_duplicate_corpus(
-            num_groups=12, group_size=6, seed=5
-        )
-        single = cluster_batches(corpus)
-        two_level = cluster_batches_two_level(corpus, num_shards=num_shards)
-        single_recall = (
-            len(_clustered_pairs(single) & true_pairs) / len(true_pairs)
-        )
-        two_recall = (
-            len(_clustered_pairs(two_level) & true_pairs) / len(true_pairs)
-        )
-        assert two_recall >= single_recall
-        assert two_recall > 0.9
-
-    def test_single_shard_matches_single_level(self):
-        from repro.enrichment.clustering import cluster_batches
-
-        corpus, _ = _near_duplicate_corpus(num_groups=6, group_size=4, seed=9)
-        assert cluster_batches_two_level(corpus, num_shards=1) == (
-            cluster_batches(corpus)
-        )
-
-    def test_numbering_dense_and_order_of_first_appearance(self):
-        corpus, _ = _near_duplicate_corpus(num_groups=5, group_size=3, seed=2)
-        assignment = cluster_batches_two_level(corpus, num_shards=3)
-        seen: list[int] = []
-        for batch_id in sorted(assignment):
-            cluster = assignment[batch_id]
-            if cluster not in seen:
-                seen.append(cluster)
-        assert seen == list(range(len(seen)))
-
-    def test_validates_parameters(self):
-        with pytest.raises(ValueError):
-            cluster_batches_two_level({0: "<p>x</p>"}, num_shards=0)
-        with pytest.raises(ValueError):
-            cluster_batches_two_level(
-                {0: "<p>x</p>"}, num_shards=2, num_perm=10, bands=3
-            )

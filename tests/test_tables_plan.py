@@ -1,23 +1,32 @@
-"""Lazy plan engine: optimizer equivalence, fusion, pushdown, parallelism.
+"""Lazy plan engine: optimizer equivalence, fusion, pushdown, profiling.
 
 The central property: for any operator chain, ``collect()`` of the lazy
 plan is byte-identical to applying the same operators eagerly, and to
-collecting with ``REPRO_TABLES_EAGER=1`` (optimizer and parallel dispatch
-disabled).  Hypothesis drives random chains; targeted tests pin down each
-optimizer rewrite and its counters.
+collecting the raw plan with :func:`~repro.tables.plan.optimize` replaced
+by the identity (the unoptimized reference).  Hypothesis drives random
+chains; targeted tests pin down each optimizer rewrite and its counters,
+and one test builds the whole tiny study both ways.
 """
 
-import os
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import obs
+from repro import build_study, obs
+from repro.analysis.taskdesign import METRICS, analysis_clusters
 from repro.tables import Table, col, group_by, hash_join, profile_hotspots
-from repro.tables.plan import EAGER_ENV, LazyFrame, optimize
+from repro.tables import plan
+from repro.tables.plan import LazyFrame, optimize
 from repro.tables.table import SchemaError
+from tests.test_shard_equivalence import assert_tables_byte_identical
+
+
+def _unoptimized():
+    """Run plans exactly as recorded: the optimizer becomes the identity."""
+    return mock.patch.object(plan, "optimize", lambda node: node)
 
 
 def _tables_equal_bytes(a: Table, b: Table) -> bool:
@@ -120,11 +129,8 @@ def test_random_plan_matches_unoptimized_run(n, seed, ops):
         return frame
 
     optimized = build().collect()
-    os.environ[EAGER_ENV] = "1"
-    try:
+    with _unoptimized():
         unoptimized = build().collect()
-    finally:
-        os.environ.pop(EAGER_ENV, None)
     assert _tables_equal_bytes(optimized, unoptimized)
 
 
@@ -207,24 +213,6 @@ def test_shared_subplan_result_matches_eager():
         filtered, group_by(filtered, "k").agg({"m": ("x", "mean")}), on="k"
     )
     assert _tables_equal_bytes(out, ref)
-
-
-def test_worker_fanout_matches_serial(monkeypatch):
-    table = _base_table(300_000, 9)
-    predicate = (col("x") > -0.5) & (col("x") < 0.5)
-
-    def run():
-        return (
-            table.lazy()
-            .filter(predicate)
-            .filter(col("k") > 2)
-            .collect()
-        )
-
-    serial = run()
-    monkeypatch.setenv("REPRO_WORKERS", "2")
-    parallel = run()
-    assert _tables_equal_bytes(serial, parallel)
 
 
 def test_eager_filter_shim_matches_plan_kernel():
@@ -318,28 +306,6 @@ def test_profile_counts_memo_hits_for_shared_subplan():
     assert sum(p.memo_hits for p in root.walk()) >= 1
 
 
-def test_profile_records_parallel_mask_fanout(monkeypatch):
-    monkeypatch.setenv("REPRO_WORKERS", "2")
-    table = _base_table(300_000, 23)
-    frame = (
-        table.lazy()
-        .filter((col("x") > -0.5) & (col("x") < 0.5))
-        .filter(col("k") > 2)
-    )
-    root = frame.profile()
-    filters = [
-        p for p in root.walk() if p.op in ("filter", "fused_filter")
-    ]
-    assert any(p.fanout >= 2 for p in filters)
-    serial = (
-        table.lazy()
-        .filter((col("x") > -0.5) & (col("x") < 0.5))
-        .filter(col("k") > 2)
-    )
-    monkeypatch.delenv("REPRO_WORKERS")
-    assert _tables_equal_bytes(frame.collect(), serial.collect())
-
-
 def test_select_unknown_column_raises_at_build_time():
     table = _base_table(10, 12)
     with pytest.raises(SchemaError):
@@ -348,14 +314,38 @@ def test_select_unknown_column_raises_at_build_time():
         table.lazy().rename({"nope": "x2"})
 
 
-def test_eager_env_disables_optimizer(monkeypatch):
+def test_unoptimized_run_skips_fusion():
     table = _base_table(100, 13)
-    monkeypatch.setenv(EAGER_ENV, "1")
     obs.REGISTRY.counter("plan.fused_ops").reset()
-    out = (
-        table.lazy().filter(col("x") > 0.0).filter(col("k") <= 3).collect()
-    )
+    frame = table.lazy().filter(col("x") > 0.0).filter(col("k") <= 3)
+    with _unoptimized():
+        out = frame.collect()
+        rendered = frame.explain()
     ref = table.filter(table["x"] > 0.0)
     ref = ref.filter(ref["k"] <= 3)
     assert _tables_equal_bytes(out, ref)
+    assert "fused_filter" not in rendered
     assert obs.REGISTRY.counter_values().get("plan.fused_ops", 0) == 0
+
+
+def test_optimizer_off_study_is_byte_identical():
+    """The whole tiny study's plan-built tables do not depend on the
+    optimizer: the unoptimized plans produce the same bytes."""
+    optimized = build_study("tiny", seed=7, cache=False)
+    with _unoptimized():
+        reference = build_study("tiny", seed=7, cache=False)
+        reference_clusters = {
+            m: analysis_clusters(reference.enriched, metric=m) for m in METRICS
+        }
+    for name in ("batch_table", "cluster_table"):
+        assert_tables_byte_identical(
+            getattr(optimized.enriched, name),
+            getattr(reference.enriched, name),
+            label=name,
+        )
+    for metric in METRICS:
+        assert_tables_byte_identical(
+            analysis_clusters(optimized.enriched, metric=metric),
+            reference_clusters[metric],
+            label=f"analysis_clusters[{metric}]",
+        )
