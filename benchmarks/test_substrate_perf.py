@@ -318,6 +318,83 @@ def test_perf_shingle_extraction_naive(benchmark):
     assert len(sets) == len(corpus)
 
 
+def _design_corpus(num_tasks: int = 100) -> dict[int, str]:
+    """Released-style task pages: each task re-issued in 1-12 batches that
+    differ only in the ``unit-XXXXXXXX`` item token, 15% of batches with a
+    revision footer — about 3.5 documents per distinct interface, the
+    medium preset's ratio (5,550 documents, 1,575 interfaces)."""
+    from repro.htmlgen import render_task_html
+    from repro.taxonomy.labels import DataType, Goal, Operator
+
+    rng = np.random.default_rng(17)
+    goals, operators, data_types = list(Goal), list(Operator), list(DataType)
+    docs: dict[int, str] = {}
+    for t in range(num_tasks):
+        task = dict(
+            title=f"task {t} review",
+            goals=(goals[t % len(goals)],),
+            operators=(operators[t % len(operators)],),
+            data_types=(data_types[t % len(data_types)],),
+            num_words=int(rng.integers(40, 400)),
+            num_text_boxes=int(rng.integers(0, 3)),
+            num_examples=int(rng.integers(0, 3)),
+            num_images=int(rng.integers(0, 3)),
+            num_choices=int(rng.integers(2, 5)),
+            template_salt=t,
+        )
+        for _ in range(int(rng.integers(1, 13))):
+            html = render_task_html(
+                **task, item_token=f"unit-{int(rng.integers(10**8)):08d}"
+            )
+            if rng.random() < 0.15:
+                footer = f"<p>batch revision {int(rng.integers(100))} posted</p>"
+                html = html.replace("</body>", footer + "</body>")
+            docs[len(docs)] = html
+    return docs
+
+
+def test_perf_design_extraction(benchmark):
+    """Design features once per noise-canonical interface
+    (``extract_design_parameters``: ``interface_key`` grouping, one parse
+    per distinct interface, rows scattered back by batch)."""
+    from repro.enrichment.design import extract_design_parameters
+
+    corpus = _design_corpus()
+    table = benchmark(lambda: extract_design_parameters(corpus))
+    assert table.num_rows == len(corpus)
+
+
+def test_perf_design_extraction_naive(benchmark):
+    """Seed replica: parse and extract every document, one row at a time."""
+    from repro.html import extract_features
+
+    corpus = _design_corpus()
+
+    def run():
+        batch_ids = sorted(corpus)
+        rows = {
+            "batch_id": np.asarray(batch_ids, dtype=np.int64),
+            "num_words": np.empty(len(batch_ids), dtype=np.int64),
+            "num_text_boxes": np.empty(len(batch_ids), dtype=np.int64),
+            "num_examples": np.empty(len(batch_ids), dtype=np.int64),
+            "num_images": np.empty(len(batch_ids), dtype=np.int64),
+            "num_input_fields": np.empty(len(batch_ids), dtype=np.int64),
+            "has_instructions": np.empty(len(batch_ids), dtype=bool),
+        }
+        for i, batch_id in enumerate(batch_ids):
+            features = extract_features(corpus[batch_id])
+            rows["num_words"][i] = features.num_words
+            rows["num_text_boxes"][i] = features.num_text_boxes
+            rows["num_examples"][i] = features.num_examples
+            rows["num_images"][i] = features.num_images
+            rows["num_input_fields"][i] = features.num_input_fields
+            rows["has_instructions"][i] = features.has_instructions
+        return Table(rows, copy=False)
+
+    table = benchmark(run)
+    assert table.num_rows == len(corpus)
+
+
 def test_perf_cluster_batches(benchmark):
     """End-to-end clustering of a synthetic near-duplicate corpus."""
     corpus = _bench_corpus(num_docs=120, tokens_per_doc=800)

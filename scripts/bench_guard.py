@@ -47,13 +47,15 @@ REPORT_PATH = REPO_ROOT / "bench_report.txt"
 #: Benches whose speedup over the seed implementation the study relies on
 #: (the vectorized minhash + group-by fast paths, the byte-level shingle
 #: tokenizer, the lazy-plan fused/dictionary kernels, the work-stealing
-#: chunk scheduler vs static placement, and the service's ETag response
-#: cache vs re-rendering every read); their ratios must never silently
-#: decay.
+#: chunk scheduler vs static placement, the service's ETag response
+#: cache vs re-rendering every read, and design extraction once per
+#: distinct interface vs once per document); their ratios must never
+#: silently decay.
 GUARDED_SPEEDUPS = (
     "minhash_batch",
     "group_by_median",
     "shingle_extraction",
+    "design_extraction",
     "dict_group_by",
     "fused_filter_project",
     "shard_sched_skewed",

@@ -92,6 +92,7 @@ DEFAULT_TESTS = [
     "tests/test_html_fuzz.py",
     "tests/test_html_differential.py",
     "tests/test_shingle_dedupe.py",
+    "tests/test_interface_key.py",
     "tests/test_batch_metrics.py",
 ]
 

@@ -12,10 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.htmlgen import render_task_html
+from repro.htmlgen import render_task_template
 from repro.simulator.config import SimulationConfig
 from repro.simulator.engine import MarketplaceState
-from repro.tables import DictColumn, Table, dict_encode
+from repro.tables import DictColumn, Table
+from repro.tables.column import factorize
 
 
 @dataclass
@@ -60,8 +61,13 @@ def _render_batch_html(
     batches *replay* exactly the draws a render would consume without
     building the string — keeping the stream, and therefore every rendered
     byte, identical to the monolithic run.
+
+    Batches of one task share its interface and differ only in the item
+    token, so each task's template is rendered once (memoized by task
+    index) and every batch fills its slots with the batch's own token.
     """
     tasks = state.tasks
+    templates: dict[int, tuple[str, ...]] = {}
     html: dict[int, str] = {}
     for pos, batch_id in enumerate(batch_ids):
         if render_mask is not None and not render_mask[pos]:
@@ -71,20 +77,22 @@ def _render_batch_html(
                 rng.integers(100)
             continue
         t = int(state.batches.task_idx[batch_id])
+        template = templates.get(t)
+        if template is None:
+            template = templates[t] = render_task_template(
+                title=str(tasks.title[t]),
+                goals=tasks.goals[t],
+                operators=tasks.operators[t],
+                data_types=tasks.data_types[t],
+                num_words=int(tasks.num_words[t]),
+                num_text_boxes=int(tasks.num_text_boxes[t]),
+                num_examples=int(tasks.num_examples[t]),
+                num_images=int(tasks.num_images[t]),
+                num_choices=int(tasks.num_choices[t]),
+                template_salt=int(tasks.template_salt[t]),
+            )
         item_token = f"unit-{int(rng.integers(10**8)):08d}"
-        rendered = render_task_html(
-            title=str(tasks.title[t]),
-            goals=tasks.goals[t],
-            operators=tasks.operators[t],
-            data_types=tasks.data_types[t],
-            num_words=int(tasks.num_words[t]),
-            num_text_boxes=int(tasks.num_text_boxes[t]),
-            num_examples=int(tasks.num_examples[t]),
-            num_images=int(tasks.num_images[t]),
-            num_choices=int(tasks.num_choices[t]),
-            template_salt=int(tasks.template_salt[t]),
-            item_token=item_token,
-        )
+        rendered = item_token.join(template)
         # Mild per-batch template drift (requesters tweak footers between
         # re-issues) so clustering must genuinely match near-duplicates.
         if rng.random() < 0.15:
@@ -148,6 +156,10 @@ def release_dataset(
     source = DictColumn(
         state.workers.source_idx[worker].astype(np.int32), source_names
     )
+    # Country codes come per worker too, so no instance-row string is
+    # hashed; ``dense_codes`` renumbers by first appearance, so the column
+    # factorizes exactly like the gathered strings would.
+    country_codes, countries = factorize(state.workers.country)
     instances = Table(
         {
             "instance_id": log.global_ids[keep].astype(np.int64),
@@ -155,7 +167,7 @@ def release_dataset(
             "item_id": log.item_id[keep],
             "worker_id": worker,
             "source": source,
-            "country": dict_encode(state.workers.country[worker]),
+            "country": DictColumn(country_codes[worker], countries),
             "start_time": log.start_time[keep],
             "end_time": log.end_time[keep],
             "trust": log.trust[keep],

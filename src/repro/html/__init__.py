@@ -7,7 +7,11 @@ parsing and extraction from scratch — no external HTML libraries exist in
 this environment.
 """
 
-from repro.html.features import InterfaceFeatures, extract_features
+from repro.html.features import (
+    InterfaceFeatures,
+    extract_features,
+    interface_key,
+)
 from repro.html.parser import Element, TextNode, parse_html, tokenize
 
 __all__ = [
@@ -15,6 +19,7 @@ __all__ = [
     "InterfaceFeatures",
     "TextNode",
     "extract_features",
+    "interface_key",
     "parse_html",
     "tokenize",
 ]

@@ -26,6 +26,8 @@ The features mirror the paper's definitions:
 
 :func:`extract_features` reads all of them in one pre-order walk of the
 parsed tree, visiting each element and each text node once.
+:func:`interface_key` maps documents that differ only in their sample-item
+token to one key, so features can be extracted once per key.
 """
 
 from __future__ import annotations
@@ -41,6 +43,13 @@ _INSTRUCTIONS_RE = re.compile(r"instruction", re.IGNORECASE)
 #: Tags whose text is not shown to workers and is excluded from word counts.
 _NON_RENDERED_TAGS = frozenset({"script", "style", "head", "title"})
 _HEADINGS = frozenset({"h1", "h2", "h3", "h4", "h5", "h6"})
+
+_ITEM_PREFIX = "unit-"
+_ASCII_DIGITS = re.compile(r"[0-9]+")
+#: Characters a tag name may hold after its first letter (``_TAG_RE``).
+_TAG_NAME_CHARS = frozenset(
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789-"
+)
 
 
 @dataclass(frozen=True)
@@ -158,3 +167,70 @@ def extract_features(html: str | Element) -> InterfaceFeatures:
         num_input_fields=num_text_boxes + num_radio + num_checkbox + num_select,
         has_instructions=has_instructions,
     )
+
+
+def interface_key(html: str) -> str:
+    """A key under which documents have equal features and label readings.
+
+    Each run of ASCII digits ``[0-9]`` that directly follows the literal
+    ``unit-`` (the release's sample-item token, ``unit-XXXXXXXX``) becomes
+    the same number of ``0``s.  Two cases keep the whole document as its
+    own key instead: a run inside a tag name (scanning back over
+    ``[A-Za-z0-9-]`` reaches ``<`` or ``</``), and any document holding
+    ``<!``, because removing a comment or doctype can join text into a tag
+    name after the scan.
+
+    Why equal keys give equal :func:`extract_features` and
+    :func:`repro.enrichment.labels.read_labels_from_html`:
+
+    - Rewriting never creates or removes a ``unit-`` or a digit run, and
+      keeps the document's length, so two documents share a key only if
+      they differ in ASCII digits after ``unit-`` at the same positions,
+      outside tag names, and hold no ``<!``.  A document kept whole has a
+      run in a tag name or a ``<!``; a rewritten one has neither, so the
+      two kinds of key never collide.
+    - Replacing an ASCII digit by another keeps every character class the
+      parser and the features test: ``_TAG_RE`` and ``_ATTR_RE`` classes,
+      ``\\s`` and ``str.split``/``str.strip`` whitespace, ``\\d`` in
+      ``_EXAMPLE_RE``, letters in ``_INSTRUCTIONS_RE``, and ``lower()``.
+      So tokens, tree shape, text-node boundaries and word counts agree.
+    - The only identities that can differ are those holding the rewritten
+      digits.  Tag names are excluded above.  Attribute names and values,
+      and text, holding ``unit-<digit>`` never equal a compared name
+      (``type``, ``class``, ``id``, ``src``, ``href``) or compared value
+      (input types, ``item-text``, ``social-post``, ``map``), and the
+      substrings searched (``instruction``, ``/items/``,
+      ``web.example.com``, goal phrases, operator prompts) hold no digit,
+      so each is found at the same positions in both documents.
+
+    Unlike clustering's noise cleaner this never deletes text, so a
+    ``data-unit`` value with markup or whitespace keeps its words.
+    """
+    pos = html.find(_ITEM_PREFIX)
+    if pos < 0 or "<!" in html:
+        return html
+    pieces: list[str] = []
+    done = 0
+    while pos >= 0:
+        start = pos + len(_ITEM_PREFIX)
+        digits = _ASCII_DIGITS.match(html, start)
+        if digits is None:
+            pos = html.find(_ITEM_PREFIX, start)
+            continue
+        before = pos - 1
+        while before >= 0 and html[before] in _TAG_NAME_CHARS:
+            before -= 1
+        if before >= 0 and (
+            html[before] == "<"
+            or (html[before] == "/" and before > 0 and html[before - 1] == "<")
+        ):
+            return html
+        end = digits.end()
+        pieces.append(html[done:start])
+        pieces.append("0" * (end - start))
+        done = end
+        pos = html.find(_ITEM_PREFIX, end)
+    if not pieces:
+        return html
+    pieces.append(html[done:])
+    return "".join(pieces)

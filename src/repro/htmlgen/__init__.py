@@ -7,6 +7,6 @@ that HTML from a task's latent design features, such that
 pipeline therefore runs on genuinely raw markup, exactly like the paper.
 """
 
-from repro.htmlgen.render import render_task_html
+from repro.htmlgen.render import render_task_html, render_task_template
 
-__all__ = ["render_task_html"]
+__all__ = ["render_task_html", "render_task_template"]

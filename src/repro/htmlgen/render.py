@@ -70,7 +70,17 @@ def _filler(rng: np.random.Generator, num_words: int) -> str:
     return " ".join(_VOCABULARY[i] for i in picks)
 
 
-def render_task_html(
+def render_task_html(*, item_token: str, **task) -> str:
+    """Render the sample-task HTML for one batch.
+
+    ``task`` holds the keyword arguments of :func:`render_task_template`;
+    ``item_token`` identifies the sample item embedded in this batch's
+    interface and fills every slot of the task's template.
+    """
+    return item_token.join(render_task_template(**task))
+
+
+def render_task_template(
     *,
     title: str,
     goals: tuple[Goal, ...],
@@ -82,13 +92,14 @@ def render_task_html(
     num_images: int,
     num_choices: int,
     template_salt: int,
-    item_token: str,
-) -> str:
-    """Render the sample-task HTML for one batch.
+) -> tuple[str, ...]:
+    """Render one task's interface with its sample item left out.
 
-    ``template_salt`` fixes the task-specific filler vocabulary draw (so all
-    batches of a task share their instruction text); ``item_token``
-    identifies the sample item embedded in this batch's interface.
+    Returns the text between the item-token slots: ``token.join(...)`` is
+    the batch HTML for sample item ``token``.  Batches of one task differ
+    only in that token, so a release renders each task once and fills its
+    slots per batch.  ``template_salt`` fixes the task-specific filler
+    vocabulary draw, so all batches of a task share their instruction text.
     """
     rng = np.random.default_rng(template_salt)
     parts: list[str] = [
@@ -135,10 +146,16 @@ def render_task_html(
             f'<img src="https://cdn.example.com/assets/t{template_salt % 99991}_{k}.png">'
         )
 
-    parts.append(f'<div class="task-unit" data-unit="{item_token}">')
+    # The item token fills the task unit's ``data-unit`` and each data
+    # snippet's ``{item}`` (as ``<token>-<j>``); cut the page at each slot.
+    segments = ["\n".join(parts) + '\n<div class="task-unit" data-unit="']
+    pending = '">'
     for j, data_type in enumerate(data_types):
-        snippet = _DATA_SNIPPETS[data_type]
-        parts.append(snippet.format(item=f"{item_token}-{j}"))
+        before, after = _DATA_SNIPPETS[data_type].split("{item}")
+        segments.append(f"{pending}\n{before}")
+        pending = f"-{j}{after}"
+
+    parts = [pending]
     for operator in operators:
         parts.append(f"<p>{_OPERATOR_PROMPTS[operator]}</p>")
 
@@ -158,4 +175,5 @@ def render_task_html(
     parts.append("</div>")
     parts.append('<button type="submit">Submit</button>')
     parts.append("</body></html>")
-    return "\n".join(parts)
+    segments.append("\n".join(parts))
+    return tuple(segments)

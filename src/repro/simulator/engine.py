@@ -469,21 +469,53 @@ def _within_batch_experience(
 ) -> np.ndarray:
     """0-based rank of each instance within its (batch, worker) sequence,
     ordered by start time — i.e. how many instances of this batch the worker
-    has already completed."""
-    order = np.lexsort((start_time, worker_id, batch_of_instance))
-    sorted_batch = batch_of_instance[order]
-    sorted_worker = worker_id[order]
-    new_run = np.r_[
-        True,
-        (sorted_batch[1:] != sorted_batch[:-1])
-        | (sorted_worker[1:] != sorted_worker[:-1]),
-    ]
+    has already completed.
+
+    One stable argsort over the composite key
+    ``(batch * W + worker) * span + (start - min_start)`` gives exactly the
+    order of a stable lexsort by (batch, worker, start): worker ids lie in
+    ``[0, W)`` and the shifted batch and start parts are non-negative and
+    below their radix, so the key orders rows like the triple, and ties
+    keep their input order.  Raises ``OverflowError`` if the key could
+    exceed int64.
+    """
+    n = len(batch_of_instance)
+    if n == 0:
+        return np.empty(0, dtype=np.float64)
+    min_batch = int(batch_of_instance.min())
+    min_start = int(start_time.min())
+    num_workers = int(worker_id.max()) + 1
+    span = int(start_time.max()) - min_start + 1
+    num_batches = int(batch_of_instance.max()) - min_batch + 1
+    if num_batches * num_workers * span > np.iinfo(np.int64).max:
+        raise OverflowError(
+            f"(batch, worker, start) key needs {num_batches} batches x "
+            f"{num_workers} workers x {span} s of start times, "
+            f"above the int64 bound {np.iinfo(np.int64).max}"
+        )
+    run_key = batch_of_instance.astype(np.int64)
+    run_key -= min_batch
+    run_key *= num_workers
+    run_key += worker_id
+    key = run_key * span
+    key += start_time
+    key -= min_start
+    order = np.argsort(key, kind="stable")
+    del key
+    sorted_run = run_key[order]
+    del run_key
+    new_run = np.empty(n, dtype=bool)
+    new_run[0] = True
+    np.not_equal(sorted_run[1:], sorted_run[:-1], out=new_run[1:])
+    del sorted_run
     run_id = np.cumsum(new_run) - 1
-    position = np.arange(len(order), dtype=np.int64)
+    position = np.arange(n, dtype=np.int64)
     run_starts = position[new_run]
-    rank_sorted = position - run_starts[run_id]
-    experience = np.empty(len(order), dtype=np.float64)
-    experience[order] = rank_sorted
+    del new_run
+    position -= run_starts[run_id]
+    del run_id, run_starts
+    experience = np.empty(n, dtype=np.float64)
+    experience[order] = position
     return experience
 
 

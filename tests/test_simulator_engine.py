@@ -183,3 +183,54 @@ class TestChoicePool:
         assert list(pool) == [
             "task0_answer_0", "task0_answer_1", "task0_answer_2",
         ]
+
+
+def _lexsort_experience(batch, worker, start):
+    """The three-key lexsort the composite-key sort replaced (reference)."""
+    order = np.lexsort((start, worker, batch))
+    sorted_batch, sorted_worker = batch[order], worker[order]
+    new_run = np.r_[
+        True,
+        (sorted_batch[1:] != sorted_batch[:-1])
+        | (sorted_worker[1:] != sorted_worker[:-1]),
+    ]
+    run_id = np.cumsum(new_run) - 1
+    position = np.arange(len(order), dtype=np.int64)
+    experience = np.empty(len(order), dtype=np.float64)
+    experience[order] = position - position[new_run][run_id]
+    return experience
+
+
+class TestWithinBatchExperience:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_lexsort_reference(self, seed):
+        from repro.simulator.engine import _within_batch_experience
+
+        rng = np.random.default_rng(seed)
+        n = 5_000
+        # Few distinct values so (batch, worker, start) ties are common and
+        # the tie order (input order) is exercised.
+        batch = rng.integers(3, 40, size=n)
+        worker = rng.integers(0, 25, size=n)
+        start = rng.integers(10**6, 10**6 + 50, size=n)
+        got = _within_batch_experience(batch, worker, start)
+        expect = _lexsort_experience(batch, worker, start)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, expect)
+
+    def test_empty_and_single(self):
+        from repro.simulator.engine import _within_batch_experience
+
+        empty = np.empty(0, dtype=np.int64)
+        assert len(_within_batch_experience(empty, empty, empty)) == 0
+        one = np.array([4], dtype=np.int64)
+        assert _within_batch_experience(one, one, one).tolist() == [0.0]
+
+    def test_key_overflow_is_loud(self):
+        from repro.simulator.engine import _within_batch_experience
+
+        batch = np.array([0, 2**21], dtype=np.int64)
+        worker = np.array([0, 2**21], dtype=np.int64)
+        start = np.array([0, 2**22], dtype=np.int64)
+        with pytest.raises(OverflowError, match="int64 bound"):
+            _within_batch_experience(batch, worker, start)
