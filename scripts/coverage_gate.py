@@ -20,6 +20,9 @@ Gates
   as-completed chunk dispatcher carries the deadline-from-dispatch and
   fold-only-on-success invariants every pooled build relies on (a gate
   may name a single module as well as a package).
+- ``src/repro/cache.py``: **>= 85%**, enforced always.  It owns the
+  on-disk entry protocol (atomic write, checksums, quarantine) that study
+  entries and shard spills share.
 - repo-wide ``src/repro``: **>= 80%**, enforced when the ``coverage``
   package (the engine behind ``pytest-cov``, declared in the ``dev``
   extra) is importable, and *visibly skipped* otherwise — measuring the
@@ -63,11 +66,13 @@ PACKAGE_GATES: dict[str, float] = {
     "parallel": 85.0,
     "service": 85.0,
     "html": 85.0,
+    "cache": 85.0,
 }
 MIN_REPO_PCT = 80.0
 
 #: Suites that exercise the gated packages end to end.
 DEFAULT_TESTS = [
+    "tests/test_cache.py",
     "tests/test_shard_equivalence.py",
     "tests/test_shard_merge_properties.py",
     "tests/test_shard_scheduler.py",

@@ -23,27 +23,30 @@ Layout
 One directory per key under the cache root (``REPRO_CACHE_DIR`` env var,
 default ``~/.cache/repro-study``): tables as ``.npz`` (object columns
 pickled inside the archive), the HTML corpus and batch→cluster map as npz
-object/int arrays, plus a human-readable ``manifest.json``.  Entries are
-written to a temp directory and atomically renamed, so concurrent builders
-never observe a partial entry.
+object/int arrays, plus a human-readable ``manifest.json``.  Hidden
+dot-directories (shard spills, temp and quarantine dirs) are not entries.
 
-Failure handling
-----------------
-The manifest records a SHA-256 checksum per data file, verified before any
-file is deserialized.  An entry that fails verification — or that raises
-any deserialization error (truncated archive, corrupt pickled object
-column) — is *quarantined*: renamed to a hidden ``.quarantine-*`` directory
-(best effort), counted in ``cache.corrupt``, and reported as a plain miss,
-so the next build rebuilds and re-writes the entry instead of crashing or
-reusing damage.  A failed write warns (``RuntimeWarning``) and counts in
-``cache.write_failed`` but never loses the in-memory study.  Cache listing
-and clearing tolerate concurrent eviction (entries vanishing
-mid-iteration) and skip in-progress ``.<key>-*`` temp directories.
+The entry protocol
+------------------
+This module owns it; :mod:`repro.shard.store` spills use it too
+(:func:`write_entry`, :func:`read_entry`).  An entry is written into a
+temp directory beside its slot, with a manifest recording a SHA-256
+checksum per data file written last, and renamed into place, so readers
+never observe a partial entry.  Every checksum is verified before any
+file is deserialized.  An entry of another schema version is a plain miss
+and is left alone.  An entry that fails verification or deserialization
+(truncated archive, corrupt pickled object column) is *quarantined*:
+renamed to a hidden ``.quarantine-*`` directory (best effort), counted
+(``cache.corrupt``), and reported as a miss, so the next build re-writes
+it.  A failed write warns (``RuntimeWarning``) and counts in
+``cache.write_failed`` but never loses the in-memory study.  Listing and
+clearing tolerate concurrent eviction and skip ``.<key>-*`` temp dirs.
 
 Deterministic fault injection (:mod:`repro.faults`): ``cache.write:fail``
 makes the entry write raise, ``cache.load:fail`` makes reading an existing
 entry raise, and ``cache.load:corrupt`` truncates a data file on disk so
-the checksum/quarantine defenses themselves are exercised.
+the checksum/quarantine defenses themselves are exercised (the shard
+store's ``shard.save``/``shard.load`` fire at the same points).
 """
 
 from __future__ import annotations
@@ -62,7 +65,7 @@ import warnings
 import zipfile
 import zlib
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Mapping
+from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 import numpy as np
 
@@ -128,6 +131,7 @@ _ENTRY_READ_ERRORS = (
     zlib.error,
 )
 
+_RELEASED_TABLES = ("batch_catalog", "instances")
 _TABLE_FILES = {
     "batch_catalog": "released_batch_catalog.npz",
     "instances": "released_instances.npz",
@@ -173,19 +177,19 @@ def code_fingerprint() -> str:
     return _code_fingerprint_cache
 
 
-def _jsonable(value: Any) -> Any:
+def jsonable(value: Any) -> Any:
     """Normalize config values (enums, tuples, nested dataclasses) to JSON."""
     if isinstance(value, enum.Enum):
         return value.value
     if dataclasses.is_dataclass(value) and not isinstance(value, type):
         return {
-            f.name: _jsonable(getattr(value, f.name))
+            f.name: jsonable(getattr(value, f.name))
             for f in dataclasses.fields(value)
         }
     if isinstance(value, Mapping):
-        return {str(_jsonable(k)): _jsonable(v) for k, v in value.items()}
+        return {str(jsonable(k)): jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
+        return [jsonable(v) for v in value]
     if isinstance(value, (np.integer, np.floating, np.bool_)):
         return value.item()
     return value
@@ -196,28 +200,44 @@ def study_key(config: "SimulationConfig") -> str:
     payload = {
         "schema": _SCHEMA_VERSION,
         "code": code_fingerprint(),
-        "config": _jsonable(config),
+        "config": jsonable(config),
     }
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
 # --------------------------------------------------------------------- #
-# Table / corpus serialization
+# The on-disk entry protocol (study entries and shard spills)
 # --------------------------------------------------------------------- #
 
 
-def _save_table(table: "Table", path: Path) -> list[str]:
+def save_table(table: "Table", path: Path) -> list[str]:
+    """Write ``table`` as one ``.npz``; returns its column order."""
     np.savez(path, **{name: table[name] for name in table.column_names})
     return list(table.column_names)
 
 
-def _load_table(path: Path, column_order: list[str]) -> "Table":
+def load_table(path: Path, column_order: list[str]) -> "Table":
     from repro.tables import Table
 
     with np.load(path, allow_pickle=True) as archive:
         columns = {name: archive[name] for name in column_order}
     return Table(columns, copy=False)
+
+
+def save_html(path: Path, batch_html: Mapping[int, str]) -> None:
+    """Write a batch -> HTML map as sorted ids plus an object array."""
+    ids = np.array(sorted(batch_html), dtype=np.int64)
+    docs = np.array([batch_html[int(b)] for b in ids], dtype=object)
+    np.savez(path, batch_id=ids, html=docs)
+
+
+def load_html(path: Path) -> dict[int, str]:
+    with np.load(path, allow_pickle=True) as archive:
+        return {
+            int(b): str(doc)
+            for b, doc in zip(archive["batch_id"], archive["html"])
+        }
 
 
 def _entry_size_bytes(entry: Path) -> int:
@@ -257,6 +277,90 @@ def _quarantine_entry(entry: Path) -> None:
         shutil.rmtree(entry, ignore_errors=True)
 
 
+def _corrupt_entry(entry: Path) -> None:
+    """Injected ``*.load:corrupt``: physically truncate one data file, so
+    the real checksum/deserialization defenses are what gets exercised."""
+    candidates = sorted(entry.glob("*.npz"))
+    if candidates:
+        data = candidates[0].read_bytes()
+        candidates[0].write_bytes(data[: len(data) // 2])
+
+
+def write_entry(
+    final: Path,
+    schema: int,
+    write_files: Callable[[Path], dict[str, Any]],
+    *,
+    fault_site: str,
+) -> Path | None:
+    """Write an entry atomically at ``final``; ``None`` on any I/O failure.
+
+    ``write_files(tmp)`` writes the data files and returns the manifest's
+    own fields; ``fault_site`` is checked first.  An entry already at
+    ``final`` is the caller's to keep or remove beforehand.
+    """
+    try:
+        final.parent.mkdir(parents=True, exist_ok=True)
+        tmp = Path(
+            tempfile.mkdtemp(prefix=f".{final.name[:16]}-", dir=final.parent)
+        )
+    except OSError:
+        return None
+    try:
+        faults.check(fault_site)
+        manifest = {"schema": schema, **write_files(tmp)}
+        manifest["checksums"] = {
+            f.name: _sha256_file(f) for f in sorted(tmp.iterdir())
+        }
+        (tmp / "manifest.json").write_text(json.dumps(manifest, indent=2))
+        os.replace(tmp, final)
+        return final
+    except OSError:
+        return None
+    finally:
+        shutil.rmtree(tmp, ignore_errors=True)
+
+
+def read_entry(
+    entry: Path,
+    schema: int,
+    read_files: Callable[[Path, dict[str, Any]], Any],
+    *,
+    fault_site: str,
+    corrupt: "obs.Counter",
+) -> Any | None:
+    """Read an entry back through ``read_files(entry, manifest)``.
+
+    ``None`` on a miss, on another ``schema`` (left in place), or on damage
+    — a checksum mismatch, an unreadable file, a ``fault_site`` fault —
+    which counts in ``corrupt`` and quarantines the entry.
+    """
+    if not entry.is_dir():
+        return None
+    try:
+        kind = faults.fire(fault_site)
+        if kind == "corrupt":
+            _corrupt_entry(entry)
+        elif kind == "fail":
+            raise faults.InjectedFault(f"injected fault: {fault_site}:fail")
+        manifest = json.loads((entry / "manifest.json").read_text())
+        if manifest.get("schema") != schema:
+            return None  # another layout, not damage: leave it to its owner
+        for filename, expected in manifest["checksums"].items():
+            if _sha256_file(entry / filename) != expected:
+                raise ValueError(f"checksum mismatch in {filename}")
+        return read_files(entry, manifest)
+    except _ENTRY_READ_ERRORS:
+        corrupt.inc()
+        _quarantine_entry(entry)
+        return None
+
+
+# --------------------------------------------------------------------- #
+# Study entries
+# --------------------------------------------------------------------- #
+
+
 def store_study(
     config: "SimulationConfig",
     released: "ReleasedDataset",
@@ -264,6 +368,7 @@ def store_study(
 ) -> Path | None:
     """Persist the released + enriched layers; returns the entry path.
 
+    An existing entry for the key is kept as it is, never overwritten.
     Best-effort: any I/O failure leaves the cache unchanged and returns
     ``None`` (the caller already has the in-memory study) — but visibly:
     a failed write raises a ``RuntimeWarning`` and counts in
@@ -271,7 +376,39 @@ def store_study(
     """
     with obs.span("cache.store") as sp:
         t0 = time.perf_counter()
-        entry = _store_study(config, released, enriched)
+        key = study_key(config)
+        entry: Path | None = cache_dir() / key
+        if not entry.exists():
+
+            def write_files(tmp: Path) -> dict[str, Any]:
+                column_orders = {}
+                for name, filename in _TABLE_FILES.items():
+                    layer = released if name in _RELEASED_TABLES else enriched
+                    column_orders[name] = save_table(
+                        getattr(layer, name), tmp / filename
+                    )
+                save_html(tmp / "batch_html.npz", released.batch_html)
+                pairs = sorted(enriched.cluster_of_batch.items())
+                np.savez(
+                    tmp / "cluster_of_batch.npz",
+                    batch_id=np.array([b for b, _ in pairs], dtype=np.int64),
+                    cluster_id=np.array([c for _, c in pairs], dtype=np.int64),
+                )
+                return {
+                    "key": key,
+                    "config": jsonable(config),
+                    "column_orders": column_orders,
+                    "num_instances": released.instances.num_rows,
+                    "num_sampled_batches": released.num_sampled_batches,
+                    "num_clusters": enriched.num_clusters,
+                }
+
+            entry = write_entry(
+                entry, _SCHEMA_VERSION, write_files, fault_site="cache.write"
+            )
+            if entry is not None:
+                _WRITES.inc()
+                _BYTES_WRITTEN.inc(_entry_size_bytes(entry))
         _STORE_SECONDS.observe(time.perf_counter() - t0)
         if entry is not None:
             sp.set("entry", entry.name[:16])
@@ -287,165 +424,25 @@ def store_study(
     return entry
 
 
-def _store_study(
-    config: "SimulationConfig",
-    released: "ReleasedDataset",
-    enriched: "EnrichedDataset",
-) -> Path | None:
-    key = study_key(config)
-    root = cache_dir()
-    final = root / key
-    if final.exists():
-        return final
-    try:
-        root.mkdir(parents=True, exist_ok=True)
-        tmp = Path(tempfile.mkdtemp(prefix=f".{key[:16]}-", dir=root))
-    except OSError:
-        return None
-    try:
-        faults.check("cache.write")
-        column_orders: dict[str, list[str]] = {}
-        column_orders["batch_catalog"] = _save_table(
-            released.batch_catalog, tmp / _TABLE_FILES["batch_catalog"]
-        )
-        column_orders["instances"] = _save_table(
-            released.instances, tmp / _TABLE_FILES["instances"]
-        )
-        column_orders["batch_table"] = _save_table(
-            enriched.batch_table, tmp / _TABLE_FILES["batch_table"]
-        )
-        column_orders["cluster_table"] = _save_table(
-            enriched.cluster_table, tmp / _TABLE_FILES["cluster_table"]
-        )
-        column_orders["labels"] = _save_table(
-            enriched.labels, tmp / _TABLE_FILES["labels"]
-        )
-
-        html_ids = np.array(sorted(released.batch_html), dtype=np.int64)
-        html_docs = np.array(
-            [released.batch_html[int(b)] for b in html_ids], dtype=object
-        )
-        np.savez(tmp / "batch_html.npz", batch_id=html_ids, html=html_docs)
-
-        cb_ids = np.array(sorted(enriched.cluster_of_batch), dtype=np.int64)
-        cb_clusters = np.array(
-            [enriched.cluster_of_batch[int(b)] for b in cb_ids], dtype=np.int64
-        )
-        np.savez(
-            tmp / "cluster_of_batch.npz", batch_id=cb_ids, cluster_id=cb_clusters
-        )
-
-        # Per-file content checksums, verified before any load deserializes
-        # a byte — a flipped bit or truncated file is a quarantined miss,
-        # never a crash or a silently wrong study.
-        checksums = {
-            f.name: _sha256_file(f) for f in sorted(tmp.iterdir())
-        }
-        manifest = {
-            "schema": _SCHEMA_VERSION,
-            "key": key,
-            "config": _jsonable(config),
-            "column_orders": column_orders,
-            "checksums": checksums,
-            "num_instances": released.instances.num_rows,
-            "num_sampled_batches": released.num_sampled_batches,
-            "num_clusters": enriched.num_clusters,
-        }
-        (tmp / "manifest.json").write_text(json.dumps(manifest, indent=2))
-        os.replace(tmp, final)
-        _WRITES.inc()
-        _BYTES_WRITTEN.inc(_entry_size_bytes(final))
-        return final
-    except OSError:
-        shutil.rmtree(tmp, ignore_errors=True)
-        return None
-    finally:
-        if tmp.exists() and tmp != final:
-            shutil.rmtree(tmp, ignore_errors=True)
-
-
-def load_study(
-    config: "SimulationConfig",
-) -> tuple["ReleasedDataset", "EnrichedDataset"] | None:
-    """Load a cached entry for ``config``; ``None`` on miss or corruption."""
-    with obs.span("cache.load") as sp:
-        t0 = time.perf_counter()
-        loaded = _load_study(config)
-        _LOAD_SECONDS.observe(time.perf_counter() - t0)
-        if loaded is None:
-            _MISSES.inc()
-            sp.set("result", "miss")
-        else:
-            _HITS.inc()
-            sp.set("result", "hit")
-    return loaded
-
-
-def _corrupt_entry(entry: Path) -> None:
-    """Injected ``cache.load:corrupt``: truncate one data file on disk.
-
-    Deliberately physical — the real checksum/deserialization defenses are
-    the thing under test, not a simulated error path.
-    """
-    target = entry / _TABLE_FILES["labels"]
-    if not target.is_file():
-        candidates = sorted(entry.glob("*.npz"))
-        if not candidates:
-            return
-        target = candidates[0]
-    data = target.read_bytes()
-    target.write_bytes(data[: len(data) // 2])
-
-
-def _load_study(
-    config: "SimulationConfig",
-) -> tuple["ReleasedDataset", "EnrichedDataset"] | None:
-    entry = cache_dir() / study_key(config)
-    if not entry.is_dir():
-        return None
-    try:
-        kind = faults.fire("cache.load")
-        if kind == "corrupt":
-            _corrupt_entry(entry)
-        elif kind == "fail":
-            raise faults.InjectedFault("injected fault: cache.load:fail")
-        manifest = json.loads((entry / "manifest.json").read_text())
-        if manifest.get("schema") != _SCHEMA_VERSION:
-            # A different (older/newer) layout, not damage: plain miss, and
-            # leave the entry alone for whichever code version owns it.
-            return None
-        for filename, expected in manifest["checksums"].items():
-            if _sha256_file(entry / filename) != expected:
-                raise ValueError(f"checksum mismatch in {filename}")
-        orders = manifest["column_orders"]
-        tables = {
-            name: _load_table(entry / filename, orders[name])
-            for name, filename in _TABLE_FILES.items()
-        }
-        with np.load(entry / "batch_html.npz", allow_pickle=True) as archive:
-            batch_html = {
-                int(b): str(doc)
-                for b, doc in zip(archive["batch_id"], archive["html"])
-            }
-        with np.load(entry / "cluster_of_batch.npz") as archive:
-            cluster_of_batch = {
-                int(b): int(c)
-                for b, c in zip(archive["batch_id"], archive["cluster_id"])
-            }
-    except _ENTRY_READ_ERRORS:
-        # The entry exists but cannot be read back: quarantine it so the
-        # next build re-writes a healthy one, and count the damage.
-        _CORRUPT.inc()
-        _quarantine_entry(entry)
-        return None
-    _BYTES_READ.inc(_entry_size_bytes(entry))
-
+def _read_study(
+    entry: Path, manifest: dict[str, Any]
+) -> tuple["ReleasedDataset", "EnrichedDataset"]:
     from repro.dataset.release import ReleasedDataset
     from repro.enrichment.pipeline import EnrichedDataset
 
+    orders = manifest["column_orders"]
+    tables = {
+        name: load_table(entry / filename, orders[name])
+        for name, filename in _TABLE_FILES.items()
+    }
+    with np.load(entry / "cluster_of_batch.npz") as archive:
+        cluster_of_batch = {
+            int(b): int(c)
+            for b, c in zip(archive["batch_id"], archive["cluster_id"])
+        }
     released = ReleasedDataset(
         batch_catalog=tables["batch_catalog"],
-        batch_html=batch_html,
+        batch_html=load_html(entry / "batch_html.npz"),
         instances=tables["instances"],
     )
     enriched = EnrichedDataset(
@@ -457,81 +454,34 @@ def _load_study(
     return released, enriched
 
 
-# --------------------------------------------------------------------- #
-# Content-addressed response bodies (the service's disk cache tier)
-# --------------------------------------------------------------------- #
-
-#: Hidden subdirectory holding content-addressed HTTP response bodies for
-#: :mod:`repro.service.respcache` (hidden so study-entry listing/clearing
-#: skip it as they do every dot-directory).
-_RESPONSES_DIR = ".responses"
-
-_RESPONSE_WRITES = obs.counter("cache.response_writes")
-_RESPONSE_HITS = obs.counter("cache.response_hits")
-_RESPONSE_CORRUPT = obs.counter("cache.response_corrupt")
-
-
-def response_cache_dir() -> Path:
-    """Where content-addressed response bodies live."""
-    return cache_dir() / _RESPONSES_DIR
-
-
-def response_digest(body: bytes) -> str:
-    """The content address (and HTTP ETag) of a response body."""
-    return hashlib.sha256(body).hexdigest()
+def load_study(
+    config: "SimulationConfig",
+) -> tuple["ReleasedDataset", "EnrichedDataset"] | None:
+    """Load a cached entry for ``config``; ``None`` on miss or corruption."""
+    with obs.span("cache.load") as sp:
+        t0 = time.perf_counter()
+        entry = cache_dir() / study_key(config)
+        loaded = read_entry(
+            entry, _SCHEMA_VERSION, _read_study,
+            fault_site="cache.load", corrupt=_CORRUPT,
+        )
+        _LOAD_SECONDS.observe(time.perf_counter() - t0)
+        if loaded is None:
+            _MISSES.inc()
+            sp.set("result", "miss")
+        else:
+            _BYTES_READ.inc(_entry_size_bytes(entry))
+            _HITS.inc()
+            sp.set("result", "hit")
+    return loaded
 
 
-def store_response(body: bytes) -> str:
-    """Persist a response body under its content address; returns the digest.
-
-    Best-effort and atomic (temp file + rename), following the study-entry
-    conventions: a failed write never raises, it just means the body is
-    only available from memory.  With ``REPRO_NO_CACHE`` set nothing is
-    written, but the digest — the ETag — is still computed and returned.
-    """
-    digest = response_digest(body)
-    if not cache_enabled():
-        return digest
-    root = response_cache_dir()
-    final = root / digest
-    if final.exists():
-        return digest
+def _children() -> list[Path]:
+    """Everything under the cache root; empty if it is missing."""
     try:
-        root.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(prefix=f".{digest[:16]}-", dir=root)
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(body)
-        os.replace(tmp, final)
-        _RESPONSE_WRITES.inc()
-        _BYTES_WRITTEN.inc(len(body))
+        return sorted(cache_dir().iterdir())
     except OSError:
-        _WRITE_FAILED.inc()
-    return digest
-
-
-def load_response(digest: str) -> bytes | None:
-    """Read a body back by content address; ``None`` on miss or damage.
-
-    The address *is* the checksum: a body whose sha-256 no longer matches
-    its name (bit rot, truncated write that somehow landed) is deleted and
-    reported as a miss, mirroring the quarantine discipline of study
-    entries.
-    """
-    path = response_cache_dir() / digest
-    try:
-        body = path.read_bytes()
-    except OSError:
-        return None
-    if response_digest(body) != digest:
-        _RESPONSE_CORRUPT.inc()
-        try:
-            path.unlink()
-        except OSError:
-            pass
-        return None
-    _RESPONSE_HITS.inc()
-    _BYTES_READ.inc(len(body))
-    return body
+        return []
 
 
 def clear_cache() -> int:
@@ -541,15 +491,8 @@ def clear_cache() -> int:
     ``.quarantine-*`` corpses are swept too but *not* counted — they were
     never readable entries.
     """
-    root = cache_dir()
-    if not root.is_dir():
-        return 0
-    try:
-        children = sorted(root.iterdir())
-    except OSError:
-        return 0
     removed = 0
-    for entry in children:
+    for entry in _children():
         if not entry.is_dir():
             continue
         shutil.rmtree(entry, ignore_errors=True)
@@ -565,15 +508,8 @@ def list_entries() -> list[dict[str, Any]]:
     listing and reading are skipped, never raised.  Hidden temp/quarantine
     directories are not entries and are skipped.
     """
-    root = cache_dir()
-    if not root.is_dir():
-        return []
-    try:
-        children = sorted(root.iterdir())
-    except OSError:
-        return []
     entries = []
-    for entry in children:
+    for entry in _children():
         if entry.name.startswith("."):
             continue
         manifest_path = entry / "manifest.json"

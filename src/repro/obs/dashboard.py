@@ -38,7 +38,6 @@ _TREND_COUNTERS = (
     "parallel.serial_fallback", "parallel.timeout", "faults.injected",
     "ledger.corrupt",
     "plan.fused_ops", "plan.pushdowns", "plan.cache_hit",
-    "dict.encoded_columns",
 )
 
 

@@ -8,9 +8,9 @@ and order-invariant merge algebra (:mod:`repro.shard.merge`,
 :meth:`repro.stats.cdf.EmpiricalCDF.merge`,
 :meth:`repro.stats.histogram.Histogram.merge`) — no rebuild — and
 ``GET /tables/<name>``, ``/figures/<name>``, and ``/fidelity`` serve every
-paper table, figure, and fidelity probe with ETag + content-addressed
-response caching (:mod:`repro.service.respcache`, layered on
-:mod:`repro.cache`).
+paper table, figure, and fidelity probe with sha-256 ETags and an
+in-memory, dependency-versioned response cache
+(:mod:`repro.service.respcache`).  Serving writes nothing to disk.
 
 The correctness contract, pinned by ``tests/test_service_equivalence.py``:
 **N micro-batches ingested in any order and any partitioning produce
@@ -24,8 +24,8 @@ Modules
 - :mod:`repro.service.state` — :class:`ServiceState`: the standing folds,
   streaming rollups, layer versions, and the memoized enriched snapshot.
 - :mod:`repro.service.respcache` — :class:`ResponseCache`: per-route
-  dependency-versioned caching with sha-256 ETags and a content-addressed
-  disk tier.
+  dependency-versioned caching with sha-256 ETags; bodies in a bounded
+  memory LRU, re-rendered on a miss.
 - :mod:`repro.service.app` — :class:`ServiceApp`: the routes, plugged
   into the PR 9 telemetry server (:mod:`repro.obs.live`).
 - :mod:`repro.service.client` — payload splitting + a tiny HTTP client

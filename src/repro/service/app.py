@@ -29,7 +29,9 @@ ResponseCache` keyed by the versions of exactly the state layers the
 route reads, and served with a strong sha-256 ``ETag``; a request whose
 ``If-None-Match`` equals the current ETag gets a bodyless 304.  Bodies
 are canonical JSON (:func:`repro.service.codec.dumps_canonical`), so the
-ETag changes *iff* the served bytes change.
+ETag changes *iff* the served bytes change.  Rendering is single-flight:
+concurrent misses on one route at one dependency key render it once and
+all answer with that render.  Nothing is written to disk.
 
 The module-level ``table_body`` / ``figure_body`` / ``fidelity_body``
 helpers are the entire rendering path — pure functions the differential
@@ -39,11 +41,12 @@ harness calls directly to predict served bytes from a batch study.
 from __future__ import annotations
 
 import json
+import threading
 from typing import TYPE_CHECKING, Any, Callable, Mapping
 
 from repro import obs
 from repro.service.codec import dumps_canonical, encode_table, encode_value
-from repro.service.respcache import ResponseCache
+from repro.service.respcache import CachedResponse, ResponseCache
 from repro.service.state import IngestError, ServiceState
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -103,6 +106,15 @@ def fidelity_body(figures: "FigureSuite") -> bytes:
     return dumps_canonical(encode_value(ledger.fidelity_probes(figures)))
 
 
+class _Flight:
+    """One render in progress, shared by the requests that missed it."""
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.entry: CachedResponse | None = None
+        self.waiters = 0
+
+
 class ServiceApp:
     """Route table + standing state + response cache for one study."""
 
@@ -116,6 +128,8 @@ class ServiceApp:
         self.state = ServiceState(config)
         self.cache = cache if cache is not None else ResponseCache()
         self.scale = scale
+        self._flights_lock = threading.Lock()
+        self._flights: dict[tuple[str, tuple], _Flight] = {}
 
     # ------------------------------------------------------------------ #
     # Dispatch (called by repro.obs.live._Handler)
@@ -212,11 +226,10 @@ class ServiceApp:
         )
         if entry is None:
             try:
-                body = render()
+                entry = self._render_once(path, deps, render)
             except IngestError as exc:
                 handler._send_json({"error": str(exc)}, status=409)
                 return
-            entry = self.cache.put(path, deps, body, JSON_CONTENT_TYPE)
         etag = f'"{entry.etag}"'
         if validator == etag:
             _NOT_MODIFIED.inc()
@@ -230,6 +243,34 @@ class ServiceApp:
         handler.send_header("ETag", etag)
         handler.end_headers()
         handler.wfile.write(entry.body)
+
+    def _render_once(
+        self, path: str, deps: tuple, render: Callable[[], bytes]
+    ) -> CachedResponse:
+        """Render a missed route once for all concurrent misses on it.
+
+        Each miss on ``(path, deps)`` joins one flight, takes its lock and
+        re-checks it, as :meth:`ServiceState.snapshot` re-checks its memo
+        under the build lock: the first renders, the rest take its entry.
+        The entry rides on the flight because a body over the cache's
+        budget is never resident.  The last waiter drops the flight.
+        """
+        key = (path, deps)
+        with self._flights_lock:
+            flight = self._flights.setdefault(key, _Flight())
+            flight.waiters += 1
+        try:
+            with flight.lock:
+                if flight.entry is None:
+                    flight.entry = self.cache.put(
+                        path, deps, render(), JSON_CONTENT_TYPE
+                    )
+                return flight.entry
+        finally:
+            with self._flights_lock:
+                flight.waiters -= 1
+                if not flight.waiters:
+                    del self._flights[key]
 
     # ------------------------------------------------------------------ #
     # Ingest

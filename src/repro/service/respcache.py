@@ -8,14 +8,17 @@ entries whose routes read a changed layer become stale — a catalog-only
 micro-batch leaves every instance-derived response cached and valid.
 
 The ETag is the sha-256 of the body (a strong validator and a content
-address at once).  Bodies live in an in-memory LRU bounded by
-``max_bytes`` and are written through to the content-addressed disk tier
-(:func:`repro.cache.store_response`); an entry whose body was evicted
-from memory but whose dependency key still matches is re-read from disk
-by its ETag — so a hot route's body survives memory pressure without
-ever being recomputed.  A body larger than the whole memory budget lives
-on the disk tier only.  A conditional request whose validator matches is
-answered from the route metadata alone, without loading the body.
+address at once).  Bodies live only in an in-memory LRU bounded by
+``max_bytes``; per-route metadata (dependency key, ETag, content type)
+outlives them.  A conditional request whose validator matches is answered
+from that metadata alone, so it is a hit even when the body is not
+resident.  A plain request for an evicted body, or for one larger than the
+whole memory budget (never resident, and evicting nothing), is a miss: the
+caller re-renders it from the memoized snapshot, which yields the same
+bytes and therefore the same ETag.  Bodies are not written to disk: a
+write on every first render costs more than the re-render of an oversized
+body read twice at one version (EXPERIMENTS.md, "Response cache: one
+tier").
 
 Stale entries are replaced on the next request for their route; metadata
 is one small record per route, so the map cannot grow beyond the route
@@ -24,6 +27,7 @@ count.
 
 from __future__ import annotations
 
+import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -34,7 +38,7 @@ _CACHE_HITS = obs.counter("serve.cache_hits")
 _CACHE_MISSES = obs.counter("serve.cache_misses")
 _CACHE_EVICTIONS = obs.counter("serve.cache_evictions")
 
-#: Default bound on in-memory body bytes (the disk tier is unbounded).
+#: Default bound on resident body bytes.
 DEFAULT_MAX_BYTES = 64 * 1024 * 1024
 
 
@@ -54,8 +58,8 @@ class ResponseCache:
     def __init__(self, max_bytes: int = DEFAULT_MAX_BYTES):
         self._lock = threading.Lock()
         self._max_bytes = max_bytes
-        # route path -> (deps, etag, content_type, size)
-        self._meta: dict[str, tuple[tuple, str, str, int]] = {}
+        # route path -> (deps, etag, content_type)
+        self._meta: dict[str, tuple[tuple, str, str]] = {}
         # etag -> body, LRU order (move_to_end on hit)
         self._bodies: "OrderedDict[str, bytes]" = OrderedDict()
         self._body_bytes = 0
@@ -69,38 +73,30 @@ class ResponseCache:
     ) -> CachedResponse | None:
         """The cached response for ``path`` at dependency key ``deps``.
 
-        ``None`` when the route was never rendered at these versions (a
-        miss, counted) — including when an ingest bumped a layer the route
-        reads, which is precisely the invalidation rule.
+        ``None`` (a miss, counted) when the route was never rendered at
+        these versions — including when an ingest bumped a layer the route
+        reads, which is precisely the invalidation rule — or when its body
+        is not resident.
 
         ``if_none_match`` is a client's validator (an ETag, unquoted).  When
         it equals the entry's ETag the answer is a 304, so the body is not
-        loaded, from memory or disk: the hit comes back with ``body=None``.
+        needed: the hit comes back with ``body=None``.
         """
-        from repro import cache as study_cache
-
         with self._lock:
             meta = self._meta.get(path)
-            if meta is None or meta[0] != deps:
-                _CACHE_MISSES.inc()
-                return None
-            _, etag, content_type, _ = meta
-            if if_none_match == etag:
-                _CACHE_HITS.inc()
-                return CachedResponse(
-                    etag=etag, content_type=content_type, body=None
-                )
-            body = self._bodies.get(etag)
-            if body is not None:
-                self._bodies.move_to_end(etag)
-        if body is None:
-            # Evicted from memory; the disk tier has it by content address.
-            body = study_cache.load_response(etag)
+            body = None
+            if meta is not None and meta[0] == deps:
+                _, etag, content_type = meta
+                if if_none_match == etag:
+                    _CACHE_HITS.inc()
+                    return CachedResponse(
+                        etag=etag, content_type=content_type, body=None
+                    )
+                body = self._bodies.get(etag)
             if body is None:
                 _CACHE_MISSES.inc()
                 return None
-            with self._lock:
-                self._admit(etag, body)
+            self._bodies.move_to_end(etag)
         _CACHE_HITS.inc()
         return CachedResponse(etag=etag, content_type=content_type, body=body)
 
@@ -108,19 +104,17 @@ class ResponseCache:
         self, path: str, deps: tuple, body: bytes, content_type: str
     ) -> CachedResponse:
         """Store a freshly rendered body; returns it with its ETag."""
-        from repro import cache as study_cache
-
-        etag = study_cache.store_response(body)
+        etag = hashlib.sha256(body).hexdigest()
         with self._lock:
             old = self._meta.get(path)
-            self._meta[path] = (deps, etag, content_type, len(body))
+            self._meta[path] = (deps, etag, content_type)
             self._admit(etag, body)
             if old is not None and old[1] != etag:
                 self._drop_body(old[1])
         return CachedResponse(etag=etag, content_type=content_type, body=body)
 
     def clear(self) -> None:
-        """Drop all metadata and bodies (the disk tier is untouched)."""
+        """Drop all metadata and bodies."""
         with self._lock:
             self._meta.clear()
             self._bodies.clear()
@@ -135,8 +129,7 @@ class ResponseCache:
             self._bodies.move_to_end(etag)
             return
         if len(body) > self._max_bytes:
-            # Larger than the whole memory budget: it stays on the disk
-            # tier only, and evicts nothing to make room.
+            # Larger than the whole budget: never resident, evicts nothing.
             return
         self._bodies[etag] = body
         self._body_bytes += len(body)

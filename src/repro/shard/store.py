@@ -6,16 +6,15 @@ rendered HTML, and precomputed shingle arrays (so the global clustering
 pass at merge time does not re-shingle).  Shard 0 additionally carries the
 batch catalog, which is global and identical across shards.
 
-Layout and failure handling follow the :mod:`repro.cache` schema-v2
-conventions: entries live under a hidden ``.shards/`` directory inside the
-cache root, keyed by ``study_key(config)`` (so any code or config change
-invalidates automatically) plus the shard count; each entry is written to
-a temp directory and atomically renamed; the manifest records a SHA-256
-checksum per data file, verified before any byte is deserialized; a
-damaged entry is quarantined and reported as a miss so the shard is
-rebuilt in process.  A failed spill warns, counts in
-``shard.store_failed``, and keeps the in-memory partial — degraded
-environments never change the result.
+Entries live under a hidden ``.shards/`` directory inside the cache root,
+keyed by ``study_key(config)`` (so any code or config change invalidates
+automatically) plus the shard count.  They are written and read through
+the entry protocol of :mod:`repro.cache` (atomic rename, per-file SHA-256
+checksums verified before any byte is deserialized, quarantine on
+damage), so a damaged spill is a miss and the shard is rebuilt in
+process.  This module keeps the spill's file list and its policy: a new
+spill replaces whatever entry sits in its slot.  A failed spill warns,
+counts in ``shard.store_failed``, and keeps the in-memory partial.
 
 Fault-injection sites (:mod:`repro.faults`): ``shard.save:fail`` makes the
 spill raise, ``shard.load:fail`` makes reading an entry raise, and
@@ -25,10 +24,8 @@ quarantine defenses themselves are exercised.
 
 from __future__ import annotations
 
-import json
-import os
+import functools
 import shutil
-import tempfile
 import time
 import warnings
 from dataclasses import dataclass
@@ -37,17 +34,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro import faults, obs
-from repro.cache import (
-    _ENTRY_READ_ERRORS,
-    _jsonable,
-    _load_table,
-    _quarantine_entry,
-    _save_table,
-    _sha256_file,
-    cache_dir,
-    study_key,
-)
+from repro import cache as study_cache, obs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simulator.config import SimulationConfig
@@ -67,12 +54,13 @@ _LOAD_SECONDS = obs.histogram("shard.load_seconds")
 #: actually had to wait for it.  Zero means the build was spill-bound.
 _OVERLAP_SECONDS = obs.histogram("shard.overlap_seconds")
 
+#: Spilled tables; ``catalog`` is only present on shard 0.
 _TABLE_FILES = {
     "instances": "instances.npz",
     "design": "design.npz",
     "metrics": "metrics.npz",
+    "catalog": "catalog.npz",
 }
-_CATALOG_FILE = "catalog.npz"
 
 
 class SpilledTable:
@@ -116,94 +104,69 @@ class ShardPartial:
     shingle_arrays: list[np.ndarray]
 
 
-def shard_store_dir(config: "SimulationConfig", num_shards: int) -> Path:
-    """Entry directory for ``(config, num_shards)`` under the cache root.
+def _entry_dir(
+    config: "SimulationConfig", num_shards: int, shard: int
+) -> Path:
+    """A shard's entry under the cache root's hidden ``.shards`` directory.
 
     Hidden (dot-prefixed) so :func:`repro.cache.list_entries` and
     ``clear_cache`` treat shard spills as internal scratch, not entries.
     """
-    return cache_dir() / ".shards" / f"{study_key(config)[:32]}-k{num_shards}"
+    key = study_cache.study_key(config)[:32]
+    return (
+        study_cache.cache_dir() / ".shards" / f"{key}-k{num_shards}"
+        / f"shard-{shard:04d}"
+    )
 
 
-def _entry_dir(
-    config: "SimulationConfig", num_shards: int, shard: int
-) -> Path:
-    return shard_store_dir(config, num_shards) / f"shard-{shard:04d}"
+def _write_partial_files(
+    config: "SimulationConfig", partial: ShardPartial, tmp: Path
+) -> dict:
+    column_orders = {
+        name: study_cache.save_table(table, tmp / filename)
+        for name, filename in _TABLE_FILES.items()
+        if (table := getattr(partial, name)) is not None
+    }
+    study_cache.save_html(tmp / "html.npz", partial.batch_html)
+    counts = np.array([len(a) for a in partial.shingle_arrays], dtype=np.int64)
+    flat = (
+        np.concatenate(partial.shingle_arrays)
+        if partial.shingle_arrays
+        else np.empty(0, dtype=np.uint64)
+    )
+    np.savez(
+        tmp / "shingles.npz",
+        batch_id=np.asarray(partial.shingle_ids, dtype=np.int64),
+        counts=counts,
+        flat=flat.astype(np.uint64, copy=False),
+    )
+    return {
+        "shard": partial.shard,
+        "num_shards": partial.num_shards,
+        "config": study_cache.jsonable(config),
+        "column_orders": column_orders,
+        "num_instances": partial.instances.num_rows,
+        "num_batches": len(partial.batch_html),
+    }
 
 
 def store_partial(
     config: "SimulationConfig", partial: ShardPartial
 ) -> Path | None:
-    """Spill ``partial`` to disk; returns the entry path, ``None`` on failure.
+    """Spill ``partial``, replacing its slot; the entry path or ``None``.
 
-    Best-effort with the :mod:`repro.cache` posture: any I/O failure (or an
-    injected ``shard.save:fail``) leaves the store unchanged and returns
-    ``None`` — visibly, via a ``RuntimeWarning`` and ``shard.store_failed``
-    — and the caller keeps using the in-memory partial.
+    A failed spill (I/O error or ``shard.save:fail``) leaves no entry,
+    warns, and counts ``shard.store_failed``; the caller keeps the
+    in-memory partial.
     """
     t0 = time.perf_counter()
     final = _entry_dir(config, partial.num_shards, partial.shard)
-    root = final.parent
-    try:
-        root.mkdir(parents=True, exist_ok=True)
-        tmp = Path(tempfile.mkdtemp(prefix=f".{final.name}-", dir=root))
-    except OSError:
-        tmp = None
-    entry: Path | None = None
-    if tmp is not None:
-        try:
-            faults.check("shard.save")
-            column_orders = {
-                name: _save_table(getattr(partial, name), tmp / filename)
-                for name, filename in _TABLE_FILES.items()
-            }
-            if partial.catalog is not None:
-                column_orders["catalog"] = _save_table(
-                    partial.catalog, tmp / _CATALOG_FILE
-                )
-
-            html_ids = np.array(sorted(partial.batch_html), dtype=np.int64)
-            html_docs = np.array(
-                [partial.batch_html[int(b)] for b in html_ids], dtype=object
-            )
-            np.savez(tmp / "html.npz", batch_id=html_ids, html=html_docs)
-
-            counts = np.array(
-                [len(a) for a in partial.shingle_arrays], dtype=np.int64
-            )
-            flat = (
-                np.concatenate(partial.shingle_arrays)
-                if partial.shingle_arrays
-                else np.empty(0, dtype=np.uint64)
-            )
-            np.savez(
-                tmp / "shingles.npz",
-                batch_id=np.asarray(partial.shingle_ids, dtype=np.int64),
-                counts=counts,
-                flat=flat.astype(np.uint64, copy=False),
-            )
-
-            checksums = {f.name: _sha256_file(f) for f in sorted(tmp.iterdir())}
-            manifest = {
-                "schema": SHARD_SCHEMA_VERSION,
-                "shard": partial.shard,
-                "num_shards": partial.num_shards,
-                "config": _jsonable(config),
-                "column_orders": column_orders,
-                "checksums": checksums,
-                "num_instances": partial.instances.num_rows,
-                "num_batches": len(partial.batch_html),
-            }
-            (tmp / "manifest.json").write_text(json.dumps(manifest, indent=2))
-            if final.exists():
-                shutil.rmtree(final, ignore_errors=True)
-            os.replace(tmp, final)
-            entry = final
-        except OSError:
-            entry = None
-        finally:
-            if tmp.exists() and tmp != final:
-                shutil.rmtree(tmp, ignore_errors=True)
+    shutil.rmtree(final, ignore_errors=True)
+    entry = study_cache.write_entry(
+        final, SHARD_SCHEMA_VERSION,
+        functools.partial(_write_partial_files, config, partial),
+        fault_site="shard.save",
+    )
     if entry is None:
         _STORE_FAILED.inc()
         warnings.warn(
@@ -307,87 +270,33 @@ class SpillWriter:
         self._drain()
 
 
-def _corrupt_entry(entry: Path) -> None:
-    """Injected ``shard.load:corrupt``: truncate one data file on disk."""
-    target = entry / _TABLE_FILES["metrics"]
-    if not target.is_file():
-        candidates = sorted(entry.glob("*.npz"))
-        if not candidates:
-            return
-        target = candidates[0]
-    data = target.read_bytes()
-    target.write_bytes(data[: len(data) // 2])
-
-
-def load_partial(
-    config: "SimulationConfig", num_shards: int, shard: int, *,
-    lean: bool = False,
-) -> ShardPartial | None:
-    """Load a spilled shard partial; ``None`` on miss or damage.
-
-    Damage — a checksum mismatch, truncated archive, or injected
-    ``shard.load`` fault — quarantines the entry (counted in
-    ``shard.corrupt``) and reports a miss, so the caller rebuilds the
-    shard in process instead of crashing or consuming bad bytes.
-
-    With ``lean``, the (large) instance table comes back as a
-    :class:`SpilledTable` read-on-demand view instead of an in-memory
-    table, so a column-wise merge over many shards is bounded by one
-    column's worth of shard data; everything else (design, metrics, HTML,
-    shingles, catalog) is batch-sized and loads eagerly as usual.  The
-    view is only handed out after the whole entry's checksums verify.
-    """
-    t0 = time.perf_counter()
-    entry = _entry_dir(config, num_shards, shard)
-    if not entry.is_dir():
-        return None
-    try:
-        kind = faults.fire("shard.load")
-        if kind == "corrupt":
-            _corrupt_entry(entry)
-        elif kind == "fail":
-            raise faults.InjectedFault("injected fault: shard.load:fail")
-        manifest = json.loads((entry / "manifest.json").read_text())
-        if manifest.get("schema") != SHARD_SCHEMA_VERSION:
-            return None
-        for filename, expected in manifest["checksums"].items():
-            if _sha256_file(entry / filename) != expected:
-                raise ValueError(f"checksum mismatch in {filename}")
-        orders = manifest["column_orders"]
-        tables: dict[str, "Table | SpilledTable"] = {
-            name: _load_table(entry / filename, orders[name])
-            for name, filename in _TABLE_FILES.items()
-            if not (lean and name == "instances")
-        }
-        if lean:
-            tables["instances"] = SpilledTable(
-                entry / _TABLE_FILES["instances"], orders["instances"]
-            )
-        catalog = None
-        if "catalog" in orders:
-            catalog = _load_table(entry / _CATALOG_FILE, orders["catalog"])
-        with np.load(entry / "html.npz", allow_pickle=True) as archive:
-            batch_html = {
-                int(b): str(doc)
-                for b, doc in zip(archive["batch_id"], archive["html"])
-            }
-        with np.load(entry / "shingles.npz") as archive:
-            shingle_ids = archive["batch_id"].astype(np.int64)
-            counts = archive["counts"]
-            flat = archive["flat"].astype(np.uint64)
-        shingle_arrays = [
-            a for a in np.split(flat, np.cumsum(counts)[:-1])
-        ] if len(counts) else []
-    except _ENTRY_READ_ERRORS:
-        _CORRUPT.inc()
-        _quarantine_entry(entry)
-        return None
-    _LOAD_HITS.inc()
-    _LOAD_SECONDS.observe(time.perf_counter() - t0)
+def _read_partial(
+    shard: int, num_shards: int, lean: bool, entry: Path, manifest: dict
+) -> ShardPartial:
+    orders = manifest["column_orders"]
+    tables: dict[str, "Table | SpilledTable"] = {
+        name: study_cache.load_table(entry / filename, orders[name])
+        for name, filename in _TABLE_FILES.items()
+        if name in orders and not (lean and name == "instances")
+    }
+    if lean:
+        tables["instances"] = SpilledTable(
+            entry / _TABLE_FILES["instances"], orders["instances"]
+        )
+    # HTML before shingles: the other order raises the peak RSS of a
+    # 4-shard medium build by 9 MB.
+    batch_html = study_cache.load_html(entry / "html.npz")
+    with np.load(entry / "shingles.npz") as archive:
+        shingle_ids = archive["batch_id"].astype(np.int64)
+        counts = archive["counts"]
+        flat = archive["flat"].astype(np.uint64)
+    shingle_arrays = (
+        list(np.split(flat, np.cumsum(counts)[:-1])) if len(counts) else []
+    )
     return ShardPartial(
         shard=shard,
         num_shards=num_shards,
-        catalog=catalog,
+        catalog=tables.get("catalog"),
         instances=tables["instances"],
         design=tables["design"],
         metrics=tables["metrics"],
@@ -396,3 +305,27 @@ def load_partial(
         shingle_arrays=shingle_arrays,
     )
 
+
+def load_partial(
+    config: "SimulationConfig", num_shards: int, shard: int, *,
+    lean: bool = False,
+) -> ShardPartial | None:
+    """Load a spilled shard partial; ``None`` on miss or damage.
+
+    Damage quarantines the entry (counted in ``shard.corrupt``), so the
+    caller rebuilds the shard in process.  With ``lean``, the (large)
+    instance table comes back as a :class:`SpilledTable` read-on-demand
+    view, so a column-wise merge over many shards holds one shard-column
+    at a time; the batch-sized rest loads eagerly.  The view is handed
+    out only after the whole entry's checksums verify.
+    """
+    t0 = time.perf_counter()
+    partial = study_cache.read_entry(
+        _entry_dir(config, num_shards, shard), SHARD_SCHEMA_VERSION,
+        functools.partial(_read_partial, shard, num_shards, lean),
+        fault_site="shard.load", corrupt=_CORRUPT,
+    )
+    if partial is not None:
+        _LOAD_HITS.inc()
+        _LOAD_SECONDS.observe(time.perf_counter() - t0)
+    return partial

@@ -19,7 +19,6 @@ join code can rely on a closed set of representations.
 
 from __future__ import annotations
 
-import time
 from typing import Any, Iterable, Sequence
 
 import numpy as np
@@ -108,14 +107,8 @@ def dict_encode(values: np.ndarray | DictColumn) -> DictColumn:
     """Dictionary-encode an object column (no-op for ``DictColumn`` input)."""
     if isinstance(values, DictColumn):
         return values
-    start = time.perf_counter()
     codes, uniques = factorize(values)
-    column = DictColumn(codes.astype(_CODE_DTYPE), uniques)
-    from repro.obs import metrics
-
-    metrics.histogram("dict.encode_seconds").observe(time.perf_counter() - start)
-    metrics.counter("dict.encoded_columns").inc()
-    return column
+    return DictColumn(codes.astype(_CODE_DTYPE), uniques)
 
 
 def concat_dict_columns(parts: Sequence[DictColumn]) -> DictColumn:

@@ -55,7 +55,7 @@ class TestKeying:
         import dataclasses
 
         config = SimulationConfig.preset("tiny", seed=7)
-        payload = cache._jsonable(config)
+        payload = cache.jsonable(config)
         for field in dataclasses.fields(config):
             assert field.name in payload
 

@@ -1,19 +1,23 @@
 """Failure-injection suite: every injected fault must leave the study
 byte-identical or fail loudly (:mod:`repro.faults`).
 
-Covers the fault-spec grammar, the cache recovery machinery (checksums,
-quarantine, write-failure visibility), the pool recovery machinery
+Covers the fault-spec grammar, the on-disk entry protocol's recovery
+machinery (checksums, quarantine, write-failure visibility) for study
+entries and shard spills alike, the pool recovery machinery
 (spawn retry, chunk crash/hang fallbacks, mapped-function error
 propagation), dataset-save atomicity, and the CLI ``--faults`` wiring.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import pickle
 import shutil
 import time
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 import pytest
@@ -192,7 +196,160 @@ class TestCacheWriteFault:
         assert _studies_equal(warm, study)
 
 
-class TestCacheCorruption:
+@dataclass
+class _EntryStore:
+    """One store that speaks the :mod:`repro.cache` entry protocol."""
+
+    entry: Path
+    load: Callable[[], Any]
+    write: Callable[[], Any]
+    save_site: str
+    load_site: str
+    corrupt: str
+    #: A data file every load reads.
+    victim: str
+    #: The on-disk manifest keys, pinned so existing entries keep loading.
+    manifest_keys: frozenset
+
+
+_STUDY_MANIFEST_KEYS = frozenset({
+    "schema", "key", "config", "column_orders", "checksums",
+    "num_instances", "num_sampled_batches", "num_clusters",
+})
+_SPILL_MANIFEST_KEYS = frozenset({
+    "schema", "shard", "num_shards", "config", "column_orders",
+    "checksums", "num_instances", "num_batches",
+})
+
+
+@pytest.fixture(scope="module")
+def spill_partial():
+    from repro.shard import build_shard_partial
+    from repro.simulator.config import SimulationConfig
+
+    config = SimulationConfig.preset("tiny", seed=7)
+    return config, build_shard_partial(config, 2, 0)
+
+
+class EntryProtocolCases:
+    """The entry protocol's cases, written once.
+
+    Each subclass binds the ``store`` fixture to one store, so every case
+    runs against the study entry and the shard spill alike.
+    """
+
+    def test_checksum_catches_flipped_byte(self, store, monkeypatch):
+        victim = store.entry / store.victim
+        data = bytearray(victim.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        victim.write_bytes(bytes(data))
+
+        def deserialized(*args, **kwargs):
+            raise AssertionError("a damaged entry reached deserialization")
+
+        # The checksums, not the archive's own CRCs, must reject it.
+        for name in ("load_table", "load_html"):
+            monkeypatch.setattr(cache, name, deserialized)
+        corrupt = obs.counter(store.corrupt)
+        before = corrupt.value
+        assert store.load() is None
+        assert corrupt.value == before + 1
+        assert not store.entry.exists()
+
+    def test_truncated_npz_with_matching_checksum_is_a_miss(self, store):
+        # Defeat the checksum layer on purpose (manifest updated to match
+        # the truncated bytes) so the load path itself must absorb the
+        # BadZipFile/EOFError/UnpicklingError a truncated archive raises.
+        import hashlib
+
+        victim = store.entry / store.victim
+        data = victim.read_bytes()
+        victim.write_bytes(data[: len(data) // 2])
+        manifest_path = store.entry / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["checksums"][store.victim] = hashlib.sha256(
+            victim.read_bytes()
+        ).hexdigest()
+        manifest_path.write_text(json.dumps(manifest))
+        assert store.load() is None
+        assert not store.entry.exists()
+
+    def test_injected_load_failure_is_a_miss(self, store):
+        corrupt = obs.counter(store.corrupt)
+        before = corrupt.value
+        faults.configure(f"{store.load_site}:fail@1")
+        assert store.load() is None
+        assert corrupt.value == before + 1
+        # Entry was quarantined; the next lookup is a plain (absent) miss.
+        assert not store.entry.exists()
+        assert store.load() is None
+        assert corrupt.value == before + 1
+
+    def test_failed_write_leaves_no_temp_dir_or_entry(self, store):
+        shutil.rmtree(store.entry)
+        faults.configure(f"{store.save_site}:fail")
+        with pytest.warns(RuntimeWarning, match="failed to"):
+            assert store.write() is None
+        assert not store.entry.exists()
+        temp_prefix = f".{store.entry.name[:16]}-"
+        assert not [
+            p for p in store.entry.parent.iterdir()
+            if p.name.startswith(temp_prefix)
+        ]
+        faults.configure(None)
+        assert store.write() == store.entry
+        assert store.load() is not None
+
+    @pytest.mark.parametrize(
+        "exc", [pickle.UnpicklingError("pickle data was truncated"), EOFError()]
+    )
+    def test_unpickling_errors_are_misses_not_crashes(
+        self, store, monkeypatch, exc
+    ):
+        def _explode(*args, **kwargs):
+            raise exc
+
+        monkeypatch.setattr(cache, "load_table", _explode)
+        assert store.load() is None
+
+    def test_schema_mismatch_is_an_unquarantined_miss(self, store):
+        manifest_path = store.entry / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["schema"] += 1
+        manifest_path.write_text(json.dumps(manifest))
+        corrupt = obs.counter(store.corrupt)
+        before = corrupt.value
+        assert store.load() is None
+        assert corrupt.value == before
+        assert manifest_path.is_file()  # left for the code that owns it
+
+    def test_manifest_keys_are_unchanged(self, store):
+        # The on-disk layout is fixed, so entries already on disk load.
+        manifest = json.loads((store.entry / "manifest.json").read_text())
+        assert set(manifest) == store.manifest_keys
+        data_files = {
+            p.name for p in store.entry.iterdir() if p.name != "manifest.json"
+        }
+        assert set(manifest["checksums"]) == data_files
+        assert store.load() is not None
+
+
+class TestCacheCorruption(EntryProtocolCases):
+    @pytest.fixture()
+    def store(self, cache_dir, study):
+        return _EntryStore(
+            entry=cache_dir / cache.study_key(study.config),
+            load=lambda: cache.load_study(study.config),
+            write=lambda: cache.store_study(
+                study.config, study.released, study.enriched
+            ),
+            save_site="cache.write",
+            load_site="cache.load",
+            corrupt="cache.corrupt",
+            victim="enriched_labels.npz",
+            manifest_keys=_STUDY_MANIFEST_KEYS,
+        )
+
     def test_corrupt_entry_is_one_miss_no_bytes_read(self, cache_dir, study):
         entry = cache_dir / cache.study_key(study.config)
         assert entry.is_dir()
@@ -228,55 +385,27 @@ class TestCacheCorruption:
         assert hits.value == h0 + 1
         assert _studies_equal(warm, study)
 
-    def test_checksum_catches_flipped_byte(self, cache_dir, study):
-        entry = cache_dir / cache.study_key(study.config)
-        victim = entry / "enriched_labels.npz"
-        data = bytearray(victim.read_bytes())
-        data[len(data) // 2] ^= 0xFF
-        victim.write_bytes(bytes(data))
-        corrupt = obs.counter("cache.corrupt")
-        before = corrupt.value
-        assert cache.load_study(study.config) is None
-        assert corrupt.value == before + 1
-        assert not entry.exists()
 
-    def test_truncated_npz_with_matching_checksum_is_a_miss(self, cache_dir, study):
-        # Defeat the checksum layer on purpose (manifest updated to match
-        # the truncated bytes) so the load path itself must absorb the
-        # BadZipFile/EOFError/UnpicklingError a truncated archive raises.
-        import hashlib
-        import json
 
-        entry = cache_dir / cache.study_key(study.config)
-        victim = entry / "batch_html.npz"
-        data = victim.read_bytes()
-        victim.write_bytes(data[: len(data) // 2])
-        manifest_path = entry / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        manifest["checksums"]["batch_html.npz"] = hashlib.sha256(
-            victim.read_bytes()
-        ).hexdigest()
-        manifest_path.write_text(json.dumps(manifest))
-        assert cache.load_study(study.config) is None
-        assert not entry.exists()
+class TestSpillCorruption(EntryProtocolCases):
+    @pytest.fixture()
+    def store(self, tmp_path, monkeypatch, spill_partial):
+        from repro.shard import load_partial, store_partial
 
-    @pytest.mark.parametrize(
-        "exc", [pickle.UnpicklingError("pickle data was truncated"), EOFError()]
-    )
-    def test_unpickling_errors_are_misses_not_crashes(
-        self, cache_dir, study, monkeypatch, exc
-    ):
-        def _explode(*args, **kwargs):
-            raise exc
-
-        monkeypatch.setattr(cache, "_load_table", _explode)
-        assert cache.load_study(study.config) is None
-
-    def test_injected_load_failure_is_a_miss(self, cache_dir, study):
-        faults.configure("cache.load:fail@1")
-        assert cache.load_study(study.config) is None
-        # Entry was quarantined; the next lookup is a plain (absent) miss.
-        assert cache.load_study(study.config) is None
+        monkeypatch.setenv(cache.CACHE_DIR_ENV, str(tmp_path / "cache"))
+        config, partial = spill_partial
+        entry = store_partial(config, partial)
+        assert entry is not None
+        return _EntryStore(
+            entry=entry,
+            load=lambda: load_partial(config, 2, 0),
+            write=lambda: store_partial(config, partial),
+            save_site="shard.save",
+            load_site="shard.load",
+            corrupt="shard.corrupt",
+            victim="metrics.npz",
+            manifest_keys=_SPILL_MANIFEST_KEYS,
+        )
 
 
 class TestCacheConcurrency:

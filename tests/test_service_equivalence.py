@@ -271,6 +271,30 @@ class TestProtocol:
         assert err.value.status == 400
         assert "config_key" in str(err.value.doc)
 
+    def test_serving_writes_nothing_under_the_cache_dir(
+        self, tiny_study, tmp_path
+    ):
+        """Every route, read plain and conditionally, touches no disk."""
+        from repro import cache
+
+        root = cache.cache_dir()
+        assert root.is_relative_to(tmp_path)  # the per-test private dir
+        _, _, client = _serve(tiny_study)
+        _ingest_shuffled(client, tiny_study, 1, seed=3)
+        routes = (
+            [f"/tables/{name}" for name in STREAM_TABLES]
+            + [f"/tables/{name}" for name in ENRICHED_TABLES]
+            + [f"/figures/{name}" for name in figure_names()]
+            + ["/fidelity"]
+        )
+        for route in routes:
+            status, headers, _ = client.get(route)
+            assert status == 200, route
+            status, _, _ = client.get(route, etag=headers["etag"])
+            assert status == 304, route
+        written = sorted(root.rglob("*")) if root.exists() else []
+        assert written == []
+
     def test_status_reflects_ingest_progress(self, tiny_study):
         _, _, client = _serve(tiny_study)
         assert client.status()["ingested_batches"] == 0

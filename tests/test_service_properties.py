@@ -327,6 +327,65 @@ class TestETagContract:
         assert hits.value == before + 1  # served from cache, not re-rendered
 
 
+class TestSingleFlight:
+    READERS = 8
+
+    def test_concurrent_misses_render_once(self, monkeypatch):
+        import sys
+        import threading
+        import time
+
+        from repro.service import app as app_mod
+
+        app, client = _serve_synthetic()
+        port = live.active_server().port
+        rows = [(0, i, 1, 0, 60, 0.5, "own", "US") for i in range(8)]
+        client.ingest(_payload(
+            instances=_instances_table(rows[:4], [0, 1, 2, 3])
+        ))
+        client.get("/tables/instances")  # rendered and cached ...
+        client.ingest(_payload(
+            instances=_instances_table(rows[4:], [4, 5, 6, 7])
+        ))  # ... and now stale
+
+        renders = []
+        real_table_body = app_mod.table_body
+
+        def counted_table_body(table):
+            renders.append(threading.get_ident())
+            time.sleep(0.3)  # hold the render while the others miss
+            return real_table_body(table)
+
+        monkeypatch.setattr(app_mod, "table_body", counted_table_body)
+        barrier = threading.Barrier(self.READERS, timeout=30)
+        results: list = [None] * self.READERS
+
+        def read(i):
+            with ServiceClient("127.0.0.1", port) as reader:
+                barrier.wait()
+                results[i] = reader.get("/tables/instances")
+
+        threads = [
+            threading.Thread(target=read, args=(i,))
+            for i in range(self.READERS)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+
+        assert len(renders) == 1
+        assert {status for status, _, _ in results} == {200}
+        assert len({(h["etag"], body) for _, h, body in results}) == 1
+        assert app._flights == {}  # the last waiter dropped the flight
+
+
 # --------------------------------------------------------------------- #
 # Wire codec round trips and rejections
 # --------------------------------------------------------------------- #
@@ -544,85 +603,83 @@ class TestWireCodec:
 
 
 # --------------------------------------------------------------------- #
-# Response cache internals (LRU bound + disk tier)
+# Response cache internals (one in-memory tier, bounded)
 # --------------------------------------------------------------------- #
 
 
 class TestResponseCache:
-    def test_eviction_falls_back_to_disk_tier(self):
+    def test_evicted_body_is_a_miss_and_reput_keeps_etag(self):
         from repro.service.respcache import ResponseCache
 
         evictions = obs.counter("serve.cache_evictions")
-        hits = obs.counter("serve.cache_hits")
+        misses = obs.counter("serve.cache_misses")
         cache = ResponseCache(max_bytes=150)
         body_a, body_b = b"a" * 100, b"b" * 100
-        cache.put("/a", (1,), body_a, "text/plain")
+        first = cache.put("/a", (1,), body_a, "text/plain")
         start_evictions = evictions.value
         cache.put("/b", (1,), body_b, "text/plain")
         assert evictions.value == start_evictions + 1  # /a left memory
 
-        # Same deps: /a is still *valid*, its body comes back from the
-        # content-addressed disk tier rather than being re-rendered.
-        before = hits.value
+        # Same deps: /a is still valid, but its body is gone, so a plain
+        # read is a counted miss (never an error) and the caller
+        # re-renders; a matching validator still needs no body.
+        before = misses.value
+        assert cache.get("/a", (1,)) is None
+        assert misses.value == before + 1
+        validated = cache.get("/a", (1,), if_none_match=first.etag)
+        assert validated is not None and validated.body is None
+
+        # The re-render is the same bytes, hence the same ETag.
+        again = cache.put("/a", (1,), body_a, "text/plain")
+        assert again.etag == first.etag
         entry = cache.get("/a", (1,))
         assert entry is not None and entry.body == body_a
-        assert hits.value == before + 1
 
-    def test_disk_tier_loss_is_a_miss_not_an_error(self, tmp_path):
-        from repro import cache as study_cache
-        from repro.service.respcache import ResponseCache
-
-        cache = ResponseCache(max_bytes=150)
-        cache.put("/a", (1,), b"a" * 100, "text/plain")
-        cache.put("/b", (1,), b"b" * 100, "text/plain")
-        import shutil
-
-        shutil.rmtree(study_cache.response_cache_dir())  # lose the disk tier
-        assert cache.get("/a", (1,)) is None  # miss -> caller re-renders
-
-    def test_oversized_body_stays_on_disk_and_evicts_nothing(self):
+    def test_oversized_body_never_resident_evicts_nothing(self):
         from repro.service.respcache import ResponseCache
 
         evictions = obs.counter("serve.cache_evictions")
+        hits = obs.counter("serve.cache_hits")
+        misses = obs.counter("serve.cache_misses")
         cache = ResponseCache(max_bytes=150)
-        cache.put("/a", (1,), b"a" * 50, "text/plain")
-        cache.put("/b", (1,), b"b" * 50, "text/plain")
+        small = [
+            cache.put(path, (1,), fill * 50, "text/plain")
+            for path, fill in (("/a", b"a"), ("/b", b"b"))
+        ]
         e0 = evictions.value
         big = cache.put("/c", (1,), b"c" * 200, "text/plain")
+        assert big.body == b"c" * 200  # the render itself is served
         assert evictions.value == e0
         assert cache._body_bytes == 100
-        assert set(cache._bodies) == {
-            cache.get("/a", (1,)).etag, cache.get("/b", (1,)).etag
-        }
-        # The oversized body is still served, from the disk tier, and is
-        # not admitted on the way back either.
-        entry = cache.get("/c", (1,))
-        assert entry is not None and entry.body == b"c" * 200
+        assert set(cache._bodies) == {entry.etag for entry in small}
+
+        # A conditional read is a hit answered from metadata alone ...
+        h0 = hits.value
+        entry = cache.get("/c", (1,), if_none_match=big.etag)
+        assert entry is not None and entry.body is None
         assert entry.etag == big.etag
+        assert hits.value == h0 + 1
+        # ... and a plain one is a miss: the body was never resident.
+        m0 = misses.value
+        assert cache.get("/c", (1,)) is None
+        assert misses.value == m0 + 1
         assert cache._body_bytes == 100
         assert evictions.value == e0
 
-    def test_matching_validator_skips_the_body(self, monkeypatch):
-        from repro import cache as study_cache
+    def test_matching_validator_skips_the_body(self):
         from repro.service.respcache import ResponseCache
 
         hits = obs.counter("serve.cache_hits")
         cache = ResponseCache(max_bytes=150)
+        # Over budget, so the body is nowhere: a 304 must not need it.
         stored = cache.put("/big", (1,), b"x" * 400, "text/plain")
-
-        def no_disk_read(etag):
-            raise AssertionError("a 304 must not read the body")
-
-        with monkeypatch.context() as patch:
-            patch.setattr(study_cache, "load_response", no_disk_read)
-            h0 = hits.value
-            entry = cache.get("/big", (1,), if_none_match=stored.etag)
-            assert entry is not None and entry.body is None
-            assert entry.etag == stored.etag
-            assert hits.value == h0 + 1
-        # A stale validator still gets the body (from disk here).
-        entry = cache.get("/big", (1,), if_none_match="0" * 64)
-        assert entry.body == b"x" * 400
+        h0 = hits.value
+        entry = cache.get("/big", (1,), if_none_match=stored.etag)
+        assert entry is not None and entry.body is None
+        assert entry.etag == stored.etag
+        assert hits.value == h0 + 1
+        # A stale validator needs the body: a miss, so the caller renders.
+        assert cache.get("/big", (1,), if_none_match="0" * 64) is None
         # Stale dependencies are a miss whatever the validator says.
         assert cache.get("/big", (2,), if_none_match=stored.etag) is None
 

