@@ -99,6 +99,7 @@ DEFAULT_TESTS = [
     "tests/test_shingle_dedupe.py",
     "tests/test_interface_key.py",
     "tests/test_batch_metrics.py",
+    "tests/test_dict_strings.py",
 ]
 
 

@@ -19,7 +19,7 @@ from repro.stats.timeseries import (
     bucket_by_week,
     week_index,
 )
-from repro.tables import Table, col
+from repro.tables import Table, col, dict_encode
 from repro.taxonomy.labels import (
     is_complex_data,
     is_complex_goal,
@@ -245,7 +245,8 @@ def internal_external_split(
     """
     instances = released.instances
     weeks = week_index(instances["start_time"])
-    is_internal = np.array([s == "internal" for s in instances["source"]])
+    source = dict_encode(instances.column("source"))
+    is_internal = (source.uniques == "internal")[source.codes]
     in_range = weeks < num_weeks
     internal = np.bincount(
         weeks[in_range & is_internal], minlength=num_weeks

@@ -36,23 +36,21 @@ def source_statistics(released: ReleasedDataset) -> Table:
     instances = released.instances
     duration = (instances["end_time"] - instances["start_time"]).astype(np.float64)
 
-    # Median duration per batch, mapped back onto instances.
+    # Median duration per batch from the segment kernel (groups come out in
+    # sorted batch order), gathered back onto instances.
     batch = instances["batch_id"]
-    order = np.argsort(batch, kind="stable")
-    sorted_batches = batch[order]
-    starts = np.flatnonzero(np.r_[True, sorted_batches[1:] != sorted_batches[:-1]])
-    ends = np.r_[starts[1:], len(sorted_batches)]
-    batch_median = np.empty(len(starts))
-    for i, (s, e) in enumerate(zip(starts, ends)):
-        batch_median[i] = np.median(duration[order[s:e]])
-    median_of_instance = np.empty(len(duration))
-    for i, (s, e) in enumerate(zip(starts, ends)):
-        median_of_instance[order[s:e]] = batch_median[i]
+    per_batch = group_by(
+        Table({"batch_id": batch, "duration": duration}, copy=False),
+        "batch_id",
+    ).agg({"median": ("duration", "median")})
+    median_of_instance = per_batch["median"][
+        np.searchsorted(per_batch["batch_id"], batch)
+    ]
     relative = duration / np.maximum(median_of_instance, 1e-9)
 
     table = Table(
         {
-            "source": instances["source"],
+            "source": instances.column("source"),
             "worker_id": instances["worker_id"],
             "trust": instances["trust"],
             "relative_time": relative,
@@ -76,17 +74,20 @@ def source_statistics(released: ReleasedDataset) -> Table:
 def active_sources_per_week(released: ReleasedDataset, *, num_weeks: int) -> np.ndarray:
     """Distinct sources with any activity each week (Figure 26b)."""
     instances = released.instances
-    weeks = week_index(instances["start_time"])
-    sources = instances["source"]
+    per_week = group_by(
+        Table(
+            {
+                "week": week_index(instances["start_time"]),
+                "source": instances.column("source"),
+            },
+            copy=False,
+        ),
+        "week",
+    ).agg({"sources": ("source", "nunique")})
+    weeks = per_week["week"]
     out = np.zeros(num_weeks)
-    order = np.argsort(weeks, kind="stable")
-    sw = weeks[order]
-    starts = np.flatnonzero(np.r_[True, sw[1:] != sw[:-1]])
-    ends = np.r_[starts[1:], len(sw)]
-    for s, e in zip(starts, ends):
-        w = int(sw[s])
-        if w < num_weeks:
-            out[w] = len(set(sources[order[s:e]]))
+    in_range = weeks < num_weeks
+    out[weeks[in_range]] = per_week["sources"][in_range]
     return out
 
 
@@ -112,7 +113,10 @@ def country_distribution(released: ReleasedDataset) -> Table:
     """Workers per country, descending (Figure 28)."""
     instances = released.instances
     table = Table(
-        {"country": instances["country"], "worker_id": instances["worker_id"]},
+        {
+            "country": instances.column("country"),
+            "worker_id": instances["worker_id"],
+        },
         copy=False,
     )
     counts = group_by(table, "country").agg(

@@ -22,7 +22,9 @@ Layout
 ------
 One directory per key under the cache root (``REPRO_CACHE_DIR`` env var,
 default ``~/.cache/repro-study``): tables as ``.npz`` (object columns
-pickled inside the archive), the HTML corpus and batch→cluster map as npz
+pickled inside the archive; a dictionary column as two members, its
+canonical ``<name>@codes`` in the narrowest unsigned dtype and
+``<name>@uniques``), the HTML corpus and batch→cluster map as npz
 object/int arrays, plus a human-readable ``manifest.json``.  Hidden
 dot-directories (shard spills, temp and quarantine dirs) are not entries.
 
@@ -35,7 +37,8 @@ checksum per data file written last, and renamed into place, so readers
 never observe a partial entry.  Every checksum is verified before any
 file is deserialized.  An entry of another schema version is a plain miss
 and is left alone.  An entry that fails verification or deserialization
-(truncated archive, corrupt pickled object column) is *quarantined*:
+(truncated archive, corrupt pickled object column, a dictionary column
+that is not canonical) is *quarantined*:
 renamed to a hidden ``.quarantine-*`` directory (best effort), counted
 (``cache.corrupt``), and reported as a miss, so the next build re-writes
 it.  A failed write warns (``RuntimeWarning``) and counts in
@@ -75,7 +78,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.dataset.release import ReleasedDataset
     from repro.enrichment.pipeline import EnrichedDataset
     from repro.simulator.config import SimulationConfig
-    from repro.tables import Table
+    from repro.tables import DictColumn, Table
 
 #: Environment variable overriding the cache root directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -86,7 +89,8 @@ _DEFAULT_CACHE_DIR = "~/.cache/repro-study"
 
 #: Bump when the on-disk layout changes incompatibly.
 #: v2: per-file SHA-256 checksums in the manifest, verified on load.
-_SCHEMA_VERSION = 2
+#: v3: dictionary columns stored as canonical codes plus uniques.
+_SCHEMA_VERSION = 3
 
 #: Packages/modules (relative to the ``repro`` package root) whose source
 #: determines the cached bytes.  Figures/analysis/reporting run on top of
@@ -211,17 +215,54 @@ def study_key(config: "SimulationConfig") -> str:
 # --------------------------------------------------------------------- #
 
 
+#: Archive member suffixes of a dictionary column's two arrays.
+_CODES = "@codes"
+_UNIQUES = "@uniques"
+
+
 def save_table(table: "Table", path: Path) -> list[str]:
-    """Write ``table`` as one ``.npz``; returns its column order."""
-    np.savez(path, **{name: table[name] for name in table.column_names})
+    """Write ``table`` as one ``.npz``; returns its column order.
+
+    A dictionary column is written as its canonical codes, in the
+    narrowest unsigned dtype that holds them, and its uniques, so it never
+    turns into an instance-sized object array on disk.
+    """
+    from repro.tables.column import DictColumn, canonical_dict
+
+    arrays = {}
+    for name in table.column_names:
+        column = table.column(name)
+        if isinstance(column, DictColumn):
+            column = canonical_dict(column)
+            width = np.min_scalar_type(max(len(column.uniques) - 1, 0))
+            arrays[name + _CODES] = column.codes.astype(width)
+            arrays[name + _UNIQUES] = column.uniques
+        else:
+            arrays[name] = column
+    np.savez(path, **arrays)
     return list(table.column_names)
+
+
+def read_column(archive: Any, name: str) -> "np.ndarray | DictColumn":
+    """One column of an open ``.npz`` table archive.
+
+    A dictionary column that is not canonical raises ``ValueError``, which
+    the entry protocol treats as damage.
+    """
+    from repro.tables.column import DictColumn, check_canonical
+
+    if name in archive:
+        return archive[name]
+    column = DictColumn(archive[name + _CODES], archive[name + _UNIQUES])
+    check_canonical(column)
+    return column
 
 
 def load_table(path: Path, column_order: list[str]) -> "Table":
     from repro.tables import Table
 
     with np.load(path, allow_pickle=True) as archive:
-        columns = {name: archive[name] for name in column_order}
+        columns = {name: read_column(archive, name) for name in column_order}
     return Table(columns, copy=False)
 
 

@@ -16,7 +16,7 @@ from repro.htmlgen import render_task_template
 from repro.simulator.config import SimulationConfig
 from repro.simulator.engine import MarketplaceState
 from repro.tables import DictColumn, Table
-from repro.tables.column import factorize
+from repro.tables.column import canonical_dict, factorize
 
 
 @dataclass
@@ -35,7 +35,9 @@ class ReleasedDataset:
     instances:
         Instance-level log for sampled batches: ``instance_id``,
         ``batch_id``, ``item_id``, ``worker_id``, ``source``, ``country``,
-        ``start_time``, ``end_time``, ``trust``, ``response``.
+        ``start_time``, ``end_time``, ``trust``, ``response``.  The three
+        string columns are canonical
+        :class:`~repro.tables.column.DictColumn` storage.
     """
 
     batch_catalog: Table
@@ -149,16 +151,14 @@ def release_dataset(
     log = state.instances
     keep = sampled[log.batch_idx]
     worker = log.worker_id[keep]
-    source_names = np.array(state.sources.names, dtype=object)
-    # The simulator already holds per-worker source *codes*; carrying them
-    # as a dictionary column means group-bys and joins on "source" (and
-    # "country") never hash a string.
+    # The string columns stay codes from the simulator on: per-worker
+    # source and country codes are gathered per instance, the responses
+    # filtered, and each column compacted to its canonical dictionary, so
+    # no instance-row string is ever built or hashed.
     source = DictColumn(
-        state.workers.source_idx[worker].astype(np.int32), source_names
+        state.workers.source_idx[worker].astype(np.int32),
+        np.array(state.sources.names, dtype=object),
     )
-    # Country codes come per worker too, so no instance-row string is
-    # hashed; ``dense_codes`` renumbers by first appearance, so the column
-    # factorizes exactly like the gathered strings would.
     country_codes, countries = factorize(state.workers.country)
     instances = Table(
         {
@@ -166,12 +166,14 @@ def release_dataset(
             "batch_id": log.batch_idx[keep],
             "item_id": log.item_id[keep],
             "worker_id": worker,
-            "source": source,
-            "country": DictColumn(country_codes[worker], countries),
+            "source": canonical_dict(source),
+            "country": canonical_dict(
+                DictColumn(country_codes[worker], countries)
+            ),
             "start_time": log.start_time[keep],
             "end_time": log.end_time[keep],
             "trust": log.trust[keep],
-            "response": log.response[keep],
+            "response": canonical_dict(log.response.filter(keep)),
         },
         copy=False,
     )

@@ -19,18 +19,19 @@ from __future__ import annotations
 import numpy as np
 
 from repro.dataset.release import ReleasedDataset
-from repro.tables import Table, group_by
-from repro.tables.column import factorize
+from repro.tables import DictColumn, Table, dict_encode, group_by
 
 
 def _pair_disagreement_by_item(
-    item_id: np.ndarray, response: np.ndarray
+    item_id: np.ndarray, response: np.ndarray | DictColumn
 ) -> tuple[np.ndarray, np.ndarray]:
     """(unique item ids, per-item average pairwise disagreement).
 
-    Items with fewer than two answers get NaN.
+    Responses compare by dictionary code, equal exactly where the strings
+    are; an object array is dictionary-encoded first.  Items with fewer
+    than two answers get NaN.
     """
-    response_codes, _ = factorize(response)
+    response_codes = dict_encode(response).codes
     order = np.lexsort((response_codes, item_id))
     items_sorted = item_id[order]
     codes_sorted = response_codes[order]
@@ -77,7 +78,7 @@ def compute_batch_metrics(released: ReleasedDataset) -> Table:
 
     # Per-item disagreement, then averaged per batch.
     unique_items, item_disagreement = _pair_disagreement_by_item(
-        item_id, instances["response"]
+        item_id, instances.column("response")
     )
     # Each item belongs to exactly one batch: take the batch of its first
     # instance occurrence.

@@ -300,13 +300,7 @@ class EnrichmentParts:
         subset = ReleasedDataset(
             batch_catalog=released.batch_catalog,
             batch_html={},
-            instances=Table(
-                {
-                    name: instances[name][rows]
-                    for name in _METRIC_INPUTS
-                },
-                copy=False,
-            ),
+            instances=instances.select(_METRIC_INPUTS).take(rows),
         )
         return _by_batch(concat_tables([kept, compute_batch_metrics(subset)]))
 

@@ -17,6 +17,7 @@ from repro.simulator.engine import MarketplaceState
 from repro.stats.histogram import linear_histogram, log_histogram
 from repro.stats.timeseries import week_index
 from repro.tables import Table
+from repro.tables.column import canonical_dict
 
 
 def _comparison_dict(c: td.BinComparison) -> dict[str, Any]:
@@ -429,7 +430,9 @@ class FigureSuite:
 
     def table4_sources(self) -> dict[str, Any]:
         """The labor-source roster (paper Table 4)."""
-        observed = sorted(set(self.released.instances["source"]))
+        observed = canonical_dict(
+            self.released.instances.column("source")
+        ).uniques.tolist()
         return {
             "all_sources": list(self.state.sources.names),
             "num_sources": len(self.state.sources.names),

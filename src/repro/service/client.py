@@ -25,7 +25,6 @@ from repro.service.codec import WIRE_SCHEMA_VERSION, encode_table
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.study import Study
-    from repro.tables import Table
 
 
 class ServiceError(RuntimeError):
@@ -40,15 +39,6 @@ class ServiceError(RuntimeError):
 # --------------------------------------------------------------------- #
 # Splitting a batch study into micro-batches
 # --------------------------------------------------------------------- #
-
-
-def _take_rows(table: "Table", idx: np.ndarray) -> "Table":
-    from repro.tables import Table
-
-    return Table(
-        {name: np.asarray(table[name])[idx] for name in table.column_names},
-        copy=False,
-    )
 
 
 def _round_robin(n: int, k: int, rng: np.random.Generator) -> list[np.ndarray]:
@@ -85,11 +75,11 @@ def split_study(study: "Study", k: int, *, seed: int = 0) -> list[dict]:
         }
         if len(catalog_parts[i]):
             payload["catalog"] = encode_table(
-                _take_rows(released.batch_catalog, catalog_parts[i])
+                released.batch_catalog.take(catalog_parts[i])
             )
         if len(instance_parts[i]):
             payload["instances"] = encode_table(
-                _take_rows(released.instances, instance_parts[i])
+                released.instances.take(instance_parts[i])
             )
         if len(html_parts[i]):
             payload["html"] = {

@@ -21,11 +21,13 @@ column's exact bytes inside an ordinary JSON document:
 A table document is ``{"num_rows": n, "columns": [[name, tag, data],
 ...]}``; a numeric ndarray inside a figure payload uses the same column
 encoding.  Decoding is a base64 decode, ``np.frombuffer`` and a copy into
-a native, owned array per column, plus one ``uniques[codes]`` gather per
-string column.  Only the dtypes the released/enriched layers use are
-legal, and every malformed document — bad base64, a byte length that
-disagrees with ``num_rows``, a code outside the dictionary, a bool byte
-other than 0/1, a non-``str`` dictionary entry — is a loud
+a native, owned array per column; a string column decodes to a
+:class:`~repro.tables.column.DictColumn` over the wire dictionary (its
+strings are never gathered per row).  Only the dtypes the
+released/enriched layers use are legal, and every malformed document —
+bad base64, a byte length that disagrees with ``num_rows``, a code
+outside the dictionary, a repeated or non-``str`` dictionary entry, a
+bool byte other than 0/1 — is a loud
 :class:`CodecError`, never a silent coercion.  There is one decoder: a
 payload in an older wire schema is refused by its ``schema`` field.
 
@@ -131,8 +133,11 @@ def _encode_column(
     return tag, {"dictionary": dictionary, "codes": _b64(codes, _CODES)}
 
 
-def _decode_column(what: str, tag: Any, data: Any, length: int) -> np.ndarray:
-    """Reverse of :func:`_encode_column`: a native, owned 1-D array."""
+def _decode_column(
+    what: str, tag: Any, data: Any, length: int
+) -> "np.ndarray | DictColumn":
+    """Reverse of :func:`_encode_column`: a native, owned 1-D array, or a
+    :class:`~repro.tables.column.DictColumn` for strings."""
     wire = _WIRE_DTYPES.get(tag) if isinstance(tag, str) else None
     if wire is not None:
         values = _unb64(what, data, wire, length)
@@ -151,10 +156,14 @@ def _decode_column(what: str, tag: Any, data: Any, length: int) -> np.ndarray:
         if not isinstance(value, str):
             raise CodecError(f"{what} dictionary[{i}] is not a str")
         uniques[i] = value
+    if len(set(dictionary)) != len(dictionary):
+        raise CodecError(f"{what} dictionary repeats a value")
     codes = _unb64(what, data["codes"], _CODES, length)
     if length and (codes.min() < 0 or codes.max() >= len(uniques)):
         raise CodecError(f"{what} has a code outside [0, {len(uniques)})")
-    return uniques[codes]
+    from repro.tables.column import DictColumn
+
+    return DictColumn(codes.astype(np.int32), uniques)
 
 
 # --------------------------------------------------------------------- #
@@ -178,7 +187,7 @@ def decode_table(doc: Any) -> "Table":
     if not isinstance(doc, dict) or not isinstance(doc.get("columns"), list):
         raise CodecError("table document must be a dict with a 'columns' list")
     num_rows = _length(doc.get("num_rows"), "num_rows")
-    columns: dict[str, np.ndarray] = {}
+    columns: dict[str, Any] = {}
     for entry in doc["columns"]:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
             raise CodecError("each column must be [name, dtype, data]")

@@ -198,7 +198,7 @@ def _check_schema(
             f"{label} columns {list(table.column_names)} != {expected}"
         )
     for name, tag in schema:
-        actual = str(np.asarray(table[name]).dtype)
+        actual = str(table.column(name).dtype)
         if actual != tag:
             raise IngestError(
                 f"{label}.{name} has dtype {actual}, expected {tag}"

@@ -318,23 +318,26 @@ def _merge_sorted_by(tables: list, key: str):
     kind="stable"))``, but each column of the union is fetched (for a
     :class:`~repro.shard.store.SpilledTable`, read from disk), placed into
     the output, and freed before the next one — peak memory is the merged
-    output plus about one column, not two whole extra tables.  Consumes
-    ``tables`` destructively.
+    output plus about one column, not two whole extra tables.  Dictionary
+    columns merge as codes over the sorted union of the shards' canonical
+    dictionaries, so the result is canonical too.  Consumes ``tables``
+    destructively.
     """
     from repro.tables import Table
+    from repro.tables.table import _gather, concat_columns
 
     names = list(tables[0].column_names)
-    key_column = np.concatenate([t[key] for t in tables])
+    key_column = np.concatenate([t.column(key) for t in tables])
     order = np.argsort(key_column, kind="stable")
     merged = {}
     for name in names:
         if name == key:
             column = key_column
         else:
-            parts = [t[name] for t in tables]
-            column = np.concatenate(parts)
+            parts = [t.column(name) for t in tables]
+            column = concat_columns(parts)
             parts.clear()
-        merged[name] = column[order]
+        merged[name] = _gather(column, order)
         del column
     del key_column
     tables.clear()

@@ -49,6 +49,7 @@ from typing import TYPE_CHECKING, Iterable, Mapping
 import numpy as np
 
 from repro import obs
+from repro.tables.column import DictColumn, canonical_dict, concat_dict_columns
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.tables import Table
@@ -281,9 +282,11 @@ class IncrementalTableFold:
     order.  Each finalize builds new arrays, so a table returned earlier
     stays valid and unchanged.
 
-    Columns are materialized on fold (:class:`~repro.tables.DictColumn`
-    storage becomes its object array), so finalized bytes are independent
-    of any segment's dictionary code layout.
+    String columns fold as codes: each segment's column (an object array
+    or a :class:`~repro.tables.DictColumn`) is put in canonical form on
+    fold, and finalize merges dictionaries by their sorted union, so the
+    finalized codes and uniques — not just the logical strings — are
+    independent of partitioning and arrival order.
     """
 
     def __init__(self, key: str):
@@ -324,10 +327,8 @@ class IncrementalTableFold:
                 f"segment schema {names} does not match the standing "
                 f"schema {self._names}"
             )
-        # Materialize now: DictColumn code layout depends on arrival order
-        # and must never leak into the finalized bytes.
         self._pending.append(
-            {name: np.asarray(table[name]) for name in names}
+            {name: _fold_column(table.column(name)) for name in names}
         )
         self._num_rows += table.num_rows
         return table.num_rows
@@ -335,6 +336,7 @@ class IncrementalTableFold:
     def finalize(self) -> "Table":
         """All folded rows, stable-sorted ascending by the key column."""
         from repro.tables import Table
+        from repro.tables.table import _gather, concat_columns
 
         if not self._pending:
             if self._final is None:
@@ -346,21 +348,48 @@ class IncrementalTableFold:
         keys = keys[order]
         at = None
         if self._final is not None:
-            at = np.searchsorted(self._final[self.key], keys, side="right")
-        merged: dict[str, np.ndarray] = {}
+            at = np.searchsorted(
+                self._final.column(self.key), keys, side="right"
+            )
+        merged: dict[str, np.ndarray | DictColumn] = {}
         for name in self._names:
             if name == self.key:
                 column = keys
             else:
-                column = np.concatenate(
-                    [seg[name] for seg in self._pending]
-                )[order]
+                column = _gather(
+                    concat_columns([seg[name] for seg in self._pending]),
+                    order,
+                )
             if at is not None:
-                column = np.insert(self._final[name], at, column)
+                column = _insert(self._final.column(name), at, column)
             merged[name] = column
         self._pending = []
         self._final = Table(merged, copy=False)
         return self._final
+
+
+def _fold_column(
+    column: "np.ndarray | DictColumn",
+) -> "np.ndarray | DictColumn":
+    """A segment column as the fold keeps it: strings canonical, else as is."""
+    if isinstance(column, DictColumn) or column.dtype == object:
+        return canonical_dict(column)
+    return column
+
+
+def _insert(
+    standing: "np.ndarray | DictColumn", at: np.ndarray,
+    new: "np.ndarray | DictColumn",
+) -> "np.ndarray | DictColumn":
+    """``np.insert(standing, at, new)``; dictionary columns are remapped
+    into the sorted union of both dictionaries first."""
+    if not isinstance(standing, DictColumn):
+        return np.insert(standing, at, new)
+    both = concat_dict_columns([standing, new])
+    split = len(standing)
+    return DictColumn(
+        np.insert(both.codes[:split], at, both.codes[split:]), both.uniques
+    )
 
 
 def merge_group_by(

@@ -38,10 +38,11 @@ from repro import cache as study_cache, obs
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simulator.config import SimulationConfig
-    from repro.tables import Table
+    from repro.tables import DictColumn, Table
 
 #: Bump when the shard-partial layout changes incompatibly.
-SHARD_SCHEMA_VERSION = 1
+#: v2: dictionary columns spilled as canonical codes plus uniques.
+SHARD_SCHEMA_VERSION = 2
 
 _SPILLS = obs.counter("shard.spilled")
 _LOAD_HITS = obs.counter("shard.load_hit")
@@ -66,11 +67,13 @@ _TABLE_FILES = {
 class SpilledTable:
     """Read-on-demand view of one spilled table.
 
-    Each column access opens the archive, reads that single member, and
-    returns it without retaining a reference — so a merge that walks the
-    union column by column holds one shard-column at a time instead of
-    every shard's whole table.  Handed out only after the entry's
-    checksums have been verified (:func:`load_partial` with ``lean``).
+    Each column access opens the archive, reads that single column (a
+    dictionary column's codes and uniques), and returns it without
+    retaining a reference — so a merge that walks the union column by
+    column holds one shard-column at a time instead of every shard's whole
+    table.  Handed out only after the entry's checksums have been verified
+    and its dictionary columns checked canonical (:func:`load_partial`
+    with ``lean``).
     """
 
     def __init__(self, path: Path, column_order: list[str]) -> None:
@@ -81,9 +84,23 @@ class SpilledTable:
     def column_names(self) -> list[str]:
         return list(self._column_names)
 
-    def __getitem__(self, name: str) -> np.ndarray:
+    def column(self, name: str) -> "np.ndarray | DictColumn":
+        """Raw column storage, as :meth:`repro.tables.Table.column`."""
         with np.load(self._path, allow_pickle=True) as archive:
-            return archive[name]
+            return study_cache.read_column(archive, name)
+
+    def __getitem__(self, name: str) -> np.ndarray:
+        from repro.tables.table import _as_array
+
+        return _as_array(self.column(name))
+
+    def check_dictionaries(self) -> None:
+        """Read every dictionary column once, so a non-canonical one is
+        damage found while the entry is being loaded, not mid-merge."""
+        with np.load(self._path, allow_pickle=True) as archive:
+            for name in self._column_names:
+                if name not in archive:
+                    study_cache.read_column(archive, name)
 
 
 @dataclass
@@ -283,6 +300,7 @@ def _read_partial(
         tables["instances"] = SpilledTable(
             entry / _TABLE_FILES["instances"], orders["instances"]
         )
+        tables["instances"].check_dictionaries()
     # HTML before shingles: the other order raises the peak RSS of a
     # 4-shard medium build by 9 MB.
     batch_html = study_cache.load_html(entry / "html.npz")

@@ -27,6 +27,8 @@ from repro.simulator.tasks import (
 )
 from repro.simulator.workers import WorkerPool, generate_workers
 from repro.stats.timeseries import DAY_SECONDS, WEEK_SECONDS
+from repro.tables import DictColumn
+from repro.tables.column import factorize
 
 #: Rows of the instance event log produced by this process (across builds).
 _ROWS_SIMULATED = obs.counter("simulate.instances_rows")
@@ -43,7 +45,7 @@ class InstanceLog:
     start_time: np.ndarray  # int: seconds since epoch (pickup moment)
     end_time: np.ndarray  # int: seconds since epoch (completion)
     trust: np.ndarray  # float in [0, 1]
-    response: np.ndarray  # object: worker's answer string
+    response: DictColumn  # worker's answer string, dictionary-coded
     #: Global instance ids.  ``None`` means the log is dense (row i == id i,
     #: e.g. hand-built logs in repro.abtest); a sharded simulation carries
     #: the monolithic ids of its slice here so downstream layers keep global
@@ -570,8 +572,8 @@ def _generate_responses(
     workers: WorkerPool,
     worker_id: np.ndarray,
     rng: np.random.Generator,
-) -> np.ndarray:
-    """Raw response strings for every instance."""
+) -> DictColumn:
+    """Response strings for every instance, dictionary-coded."""
     cal = config.calibration
     n = len(batch_of_instance)
 
@@ -605,22 +607,12 @@ def _generate_responses(
     wrong_offset = 1 + (rng.random(n) * (m_inst - 1)).astype(np.int64)
     answer_idx = np.where(correct, true_inst, (true_inst + wrong_offset) % m_inst)
 
-    # Map answer indices to strings through a global per-task choice pool.
-    textual = np.array(
-        [ops[0] in TEXT_RESPONSE_OPERATORS for ops in tasks.operators]
+    # Map answer indices to strings through a global per-task choice pool;
+    # subjective free-form tasks answer uniquely, keyed by instance id.
+    return _response_column(
+        tasks, num_choices, task_of_instance, answer_idx,
+        np.flatnonzero(tasks.subjective[task_of_instance]), None,
     )
-    pool_array, pool_offsets = _build_choice_pool(num_choices, textual)
-    response = pool_array[pool_offsets[task_of_instance] + answer_idx]
-
-    # Subjective free-form tasks: every response is unique.
-    subjective_inst = tasks.subjective[task_of_instance]
-    num_subjective = int(subjective_inst.sum())
-    if num_subjective:
-        unique_ids = np.flatnonzero(subjective_inst)
-        response[unique_ids] = np.array(
-            [f"freeform response #{i}" for i in unique_ids], dtype=object
-        )
-    return response
 
 
 def _generate_responses_sharded(
@@ -635,11 +627,11 @@ def _generate_responses_sharded(
     task_sel: np.ndarray,
     item_sel: np.ndarray,
     worker_sel: np.ndarray,
-) -> np.ndarray:
+) -> DictColumn:
     """Shard-mode :func:`_generate_responses`: draws at full size ``n`` (the
     answer stream must match the monolithic run byte for byte), everything
     derived — modal probabilities, correctness, answer indices, and the
-    object-string materialization — only on the ``sel`` rows this shard
+    response codes — only on the ``sel`` rows this shard
     owns.  Subjective responses are keyed by *global* instance id so the
     union of shards reproduces the monolithic strings exactly.
     """
@@ -674,15 +666,40 @@ def _generate_responses_sharded(
     wrong_offset = 1 + (rng.random(n)[sel] * (m_sel - 1)).astype(np.int64)
     answer_idx = np.where(correct, true_sel, (true_sel + wrong_offset) % m_sel)
 
+    return _response_column(
+        tasks, num_choices, task_sel, answer_idx,
+        np.flatnonzero(tasks.subjective[task_sel]), sel,
+    )
+
+
+def _response_column(
+    tasks: TaskPopulation,
+    num_choices: np.ndarray,
+    task_of_row: np.ndarray,
+    answer_idx: np.ndarray,
+    subjective_rows: np.ndarray,
+    global_ids: np.ndarray | None,
+) -> DictColumn:
+    """The response column as codes over the distinct answer strings.
+
+    The choice pool repeats ``yes``/``no``/``option_k`` across tasks, so
+    pool slots are deduplicated first and each row's code is its slot's
+    distinct string.  Free-form rows get one fresh string each, named by
+    global instance id (``global_ids[row]``, or the row itself when the
+    rows are the dense monolithic log).  Not canonical: the release
+    compacts the column once it has dropped the unsampled rows.
+    """
     textual = np.array(
         [ops[0] in TEXT_RESPONSE_OPERATORS for ops in tasks.operators]
     )
     pool_array, pool_offsets = _build_choice_pool(num_choices, textual)
-    response = pool_array[pool_offsets[task_sel] + answer_idx]
-    subjective_local = np.flatnonzero(tasks.subjective[task_sel])
-    if len(subjective_local):
-        response[subjective_local] = np.array(
-            [f"freeform response #{i}" for i in sel[subjective_local]],
-            dtype=object,
-        )
-    return response
+    slot_codes, pool_uniques = factorize(pool_array)
+    codes = slot_codes.astype(np.int32)[pool_offsets[task_of_row] + answer_idx]
+    ids = subjective_rows if global_ids is None else global_ids[subjective_rows]
+    freeform = np.array(
+        [f"freeform response #{i}" for i in ids.tolist()], dtype=object
+    )
+    codes[subjective_rows] = len(pool_uniques) + np.arange(
+        len(subjective_rows), dtype=np.int32
+    )
+    return DictColumn(codes, np.concatenate([pool_uniques, freeform]))

@@ -11,7 +11,8 @@ A column is a one-dimensional ``numpy.ndarray``.  The engine recognizes four
 ``"bool"``
     ``bool``.
 ``"str"``
-    ``object`` dtype holding Python ``str`` (``None`` is the missing marker).
+    ``object`` dtype holding Python ``str`` (``None`` is the missing marker),
+    or a :class:`DictColumn` of codes over a uniques table.
 
 Anything else is rejected at ingestion time so that downstream group-by and
 join code can rely on a closed set of representations.
@@ -23,9 +24,16 @@ from typing import Any, Iterable, Sequence
 
 import numpy as np
 
+from repro import obs
+
 _KINDS = ("int", "float", "bool", "str")
 
 _CODE_DTYPE = np.int32
+
+#: Rows decoded by :meth:`DictColumn.materialize`: a string column turned
+#: back into Python objects.  The study keeps its instance string columns
+#: as codes, so a nonzero delta over a build names a stray decode.
+_MATERIALIZED_ROWS = obs.counter("dict.materialized_rows")
 
 
 class ColumnTypeError(TypeError):
@@ -40,6 +48,11 @@ class DictColumn:
     unique to be referenced, so row subsets can slice the codes array and
     keep sharing the dictionary.  Instances are immutable by convention,
     like the plain numpy columns they stand in for.
+
+    The *canonical* form (:func:`canonical_dict`) is what the study stores:
+    uniques exactly the referenced values, all ``str``, strictly increasing,
+    so equal logical columns have equal codes and uniques however they were
+    built, concatenated, merged or folded.
     """
 
     __slots__ = ("codes", "uniques", "_materialized")
@@ -63,8 +76,13 @@ class DictColumn:
     def materialize(self) -> np.ndarray:
         """The logical object array (cached after the first call)."""
         if self._materialized is None:
+            _MATERIALIZED_ROWS.inc(len(self.codes))
             self._materialized = self.uniques[self.codes]
         return self._materialized
+
+    def __getitem__(self, key):
+        """The logical values at ``key``; only those rows are decoded."""
+        return self.uniques[self.codes[key]]
 
     def take(self, indices: np.ndarray) -> "DictColumn":
         return DictColumn(self.codes[indices], self.uniques)
@@ -111,34 +129,74 @@ def dict_encode(values: np.ndarray | DictColumn) -> DictColumn:
     return DictColumn(codes.astype(_CODE_DTYPE), uniques)
 
 
+def _sort_key(value: Any) -> tuple[bool, str]:
+    # ``None`` (only ever in non-canonical columns) sorts before every str.
+    return (value is not None, value if value is not None else "")
+
+
 def concat_dict_columns(parts: Sequence[DictColumn]) -> DictColumn:
     """Concatenate dictionary columns, unifying their dictionaries.
 
-    The merged dictionary keeps the first part's uniques order and appends
-    values unseen so far in the order later parts introduce them.
+    The merged dictionary is the sorted union of the parts' uniques and
+    each part's codes are remapped into it, so canonical parts concatenate
+    to a canonical column.
     """
     if not parts:
         return DictColumn(np.empty(0, dtype=_CODE_DTYPE), np.empty(0, dtype=object))
-    mapping: dict[Any, int] = {}
-    merged: list[Any] = []
-    remapped: list[np.ndarray] = []
+    merged = sorted(
+        {value for part in parts for value in part.uniques.tolist()},
+        key=_sort_key,
+    )
+    position = {value: code for code, value in enumerate(merged)}
+    remapped = []
     for part in parts:
-        remap = np.empty(len(part.uniques), dtype=_CODE_DTYPE)
-        for old_code, value in enumerate(part.uniques):
-            new_code = mapping.get(value)
-            if new_code is None:
-                new_code = len(merged)
-                mapping[value] = new_code
-                merged.append(value)
-            remap[old_code] = new_code
-        if len(part.codes) and len(remap):
-            remapped.append(remap[part.codes])
-        else:
-            remapped.append(part.codes)
+        remap = np.fromiter(
+            (position[value] for value in part.uniques.tolist()),
+            dtype=_CODE_DTYPE, count=len(part.uniques),
+        )
+        remapped.append(remap[part.codes] if len(part.codes) else part.codes)
     uniques = np.empty(len(merged), dtype=object)
     uniques[:] = merged
-    return DictColumn(np.concatenate(remapped) if remapped else
-                      np.empty(0, dtype=_CODE_DTYPE), uniques)
+    return DictColumn(np.concatenate(remapped), uniques)
+
+
+def canonical_dict(values: np.ndarray | DictColumn) -> DictColumn:
+    """The canonical dictionary form of a string column.
+
+    Uniques become exactly the referenced values in sorted order and codes
+    are int32 ranks into them, so any two columns with equal logical
+    values come out with equal ``codes`` and ``uniques``.  An object array
+    is factorized first; a :class:`DictColumn` is compacted with an O(rows)
+    presence scan and a sort of its referenced uniques only.
+    """
+    column = values if isinstance(values, DictColumn) else dict_encode(values)
+    present = np.zeros(len(column.uniques), dtype=bool)
+    present[column.codes] = True
+    used = np.flatnonzero(present)
+    referenced = column.uniques[used]
+    order = np.argsort(referenced, kind="stable")
+    rank = np.zeros(len(column.uniques), dtype=_CODE_DTYPE)
+    rank[used[order]] = np.arange(len(used), dtype=_CODE_DTYPE)
+    return DictColumn(rank[column.codes], referenced[order])
+
+
+def check_canonical(column: DictColumn) -> None:
+    """Raise ``ValueError`` unless ``column`` is in canonical form.
+
+    The on-disk check: codes inside ``[0, len(uniques))`` and uniques that
+    are strictly increasing ``str``.  (Unreferenced uniques are not
+    checked: a loader cannot tell them from damage any cheaper than by
+    recompacting.)
+    """
+    codes, uniques = column.codes, column.uniques
+    if codes.ndim != 1 or uniques.ndim != 1:
+        raise ValueError("dictionary codes and uniques must be 1-D")
+    if len(codes) and (int(codes.min()) < 0 or int(codes.max()) >= len(uniques)):
+        raise ValueError(f"dictionary code outside [0, {len(uniques)})")
+    if not all(type(value) is str for value in uniques.tolist()):
+        raise ValueError("dictionary uniques must all be str")
+    if len(uniques) > 1 and not bool(np.all(uniques[1:] > uniques[:-1])):
+        raise ValueError("dictionary uniques are not strictly increasing")
 
 
 def column_kind(values: np.ndarray | DictColumn) -> str:

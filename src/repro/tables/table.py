@@ -344,14 +344,20 @@ def concat_tables(tables: Sequence[Table]) -> Table:
             raise SchemaError(
                 f"cannot concat: schema {t.column_names} != {names}"
             )
-    columns = {}
-    for name in names:
-        raw = [t.column(name) for t in tables]
-        if all(isinstance(p, DictColumn) for p in raw):
-            columns[name] = concat_dict_columns(raw)
-            continue
-        parts = [_as_array(p) for p in raw]
-        if any(p.dtype == object for p in parts):
-            parts = [p.astype(object) for p in parts]
-        columns[name] = np.concatenate(parts)
+    columns = {
+        name: concat_columns([t.column(name) for t in tables]) for name in names
+    }
     return Table(columns, copy=False)
+
+
+def concat_columns(
+    parts: Sequence[np.ndarray | DictColumn],
+) -> np.ndarray | DictColumn:
+    """Concatenate raw column storage; dictionary parts stay dictionary-coded
+    (see :func:`~repro.tables.column.concat_dict_columns`)."""
+    if all(isinstance(p, DictColumn) for p in parts):
+        return concat_dict_columns(parts)
+    arrays = [_as_array(p) for p in parts]
+    if any(a.dtype == object for a in arrays):
+        arrays = [a.astype(object) for a in arrays]
+    return np.concatenate(arrays)

@@ -45,6 +45,26 @@ class TestSourceStatistics:
         values = list(top["num_workers"])
         assert values == sorted(values, reverse=True)
 
+    def test_relative_time_matches_per_batch_loop(self, stats, released):
+        # Reference: a np.median per batch, scattered back per instance.
+        instances = released.instances
+        duration = (
+            instances["end_time"] - instances["start_time"]
+        ).astype(np.float64)
+        batch = instances["batch_id"]
+        median_of_instance = np.empty(len(duration))
+        for b in np.unique(batch):
+            rows = batch == b
+            median_of_instance[rows] = np.median(duration[rows])
+        relative = duration / np.maximum(median_of_instance, 1e-9)
+        source = instances["source"]
+        for row in stats.to_rows():
+            rows = source == row["source"]
+            expected = relative[rows].sum() / rows.sum()
+            assert row["mean_relative_task_time"] == pytest.approx(
+                expected, rel=1e-12
+            )
+
     def test_source_share_bounds(self, stats):
         names = [s for s in stats["source"]]
         assert wk.source_share(stats, names, of="num_tasks") == pytest.approx(1.0)
@@ -58,6 +78,19 @@ class TestActiveSources:
         )
         assert series.max() <= 139
         assert series.sum() > 0
+
+    def test_matches_a_set_per_week(self, study, released):
+        from repro.stats.timeseries import week_index
+
+        num_weeks = study.config.num_weeks
+        weeks = week_index(released.instances["start_time"])
+        sources = released.instances["source"]
+        expected = np.zeros(num_weeks)
+        for w in range(num_weeks):
+            expected[w] = len(set(sources[weeks == w]))
+        assert np.array_equal(
+            wk.active_sources_per_week(released, num_weeks=num_weeks), expected
+        )
 
 
 class TestGeography:

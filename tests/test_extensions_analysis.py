@@ -16,6 +16,16 @@ class TestInternalExternalSplit:
         )
         assert internal.sum() + external.sum() == released.instances.num_rows
 
+    def test_internal_counts_internal_source_rows(self, study, released):
+        internal, _ = internal_external_split(
+            released, num_weeks=study.config.num_weeks
+        )
+        is_internal = np.array(
+            [s == "internal" for s in released.instances["source"]]
+        )
+        assert is_internal.any()
+        assert internal.sum() == is_internal.sum()
+
     def test_internal_is_small(self, study, released):
         """§3.2: internal workers account for a very small fraction."""
         internal, external = internal_external_split(

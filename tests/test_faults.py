@@ -208,6 +208,8 @@ class _EntryStore:
     corrupt: str
     #: A data file every load reads.
     victim: str
+    #: The data file holding the dictionary-coded instance table.
+    dict_table: str
     #: The on-disk manifest keys, pinned so existing entries keep loading.
     manifest_keys: frozenset
 
@@ -229,6 +231,29 @@ def spill_partial():
 
     config = SimulationConfig.preset("tiny", seed=7)
     return config, build_shard_partial(config, 2, 0)
+
+
+def rewrite_dictionary(entry: Path, filename: str, damage: str) -> None:
+    """Make the ``response`` dictionary of a table archive non-canonical
+    and re-checksum the file, as a writer with a bug would leave it."""
+    import hashlib
+
+    path = entry / filename
+    with np.load(path, allow_pickle=True) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    if damage == "unsorted":
+        arrays["response@uniques"] = arrays["response@uniques"][::-1].copy()
+    else:
+        codes = arrays["response@codes"].copy()
+        codes[0] = len(arrays["response@uniques"])
+        arrays["response@codes"] = codes
+    np.savez(path, **arrays)
+    manifest_path = entry / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["checksums"][filename] = hashlib.sha256(
+        path.read_bytes()
+    ).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
 
 
 class EntryProtocolCases:
@@ -312,6 +337,17 @@ class EntryProtocolCases:
         monkeypatch.setattr(cache, "load_table", _explode)
         assert store.load() is None
 
+    @pytest.mark.parametrize("damage", ["unsorted", "out_of_range"])
+    def test_non_canonical_dictionary_is_corrupt(self, store, damage):
+        # Checksums updated to match, so only the canonical-form check on
+        # load can reject the rewritten archive.
+        rewrite_dictionary(store.entry, store.dict_table, damage)
+        corrupt = obs.counter(store.corrupt)
+        before = corrupt.value
+        assert store.load() is None
+        assert corrupt.value == before + 1
+        assert not store.entry.exists()
+
     def test_schema_mismatch_is_an_unquarantined_miss(self, store):
         manifest_path = store.entry / "manifest.json"
         manifest = json.loads(manifest_path.read_text())
@@ -347,6 +383,7 @@ class TestCacheCorruption(EntryProtocolCases):
             load_site="cache.load",
             corrupt="cache.corrupt",
             victim="enriched_labels.npz",
+            dict_table="released_instances.npz",
             manifest_keys=_STUDY_MANIFEST_KEYS,
         )
 
@@ -404,8 +441,22 @@ class TestSpillCorruption(EntryProtocolCases):
             load_site="shard.load",
             corrupt="shard.corrupt",
             victim="metrics.npz",
+            dict_table="instances.npz",
             manifest_keys=_SPILL_MANIFEST_KEYS,
         )
+
+    def test_non_canonical_dictionary_is_corrupt_on_lean_load(
+        self, store, spill_partial
+    ):
+        from repro.shard import load_partial
+
+        config, _ = spill_partial
+        rewrite_dictionary(store.entry, store.dict_table, "unsorted")
+        corrupt = obs.counter(store.corrupt)
+        before = corrupt.value
+        assert load_partial(config, 2, 0, lean=True) is None
+        assert corrupt.value == before + 1
+        assert not store.entry.exists()
 
 
 class TestCacheConcurrency:

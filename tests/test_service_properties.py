@@ -537,6 +537,10 @@ class TestWireCodec:
         {"num_rows": 1, "columns": [["a", "object",
                                      {"dictionary": ["x"],
                                       "codes": "!!!!"}]]},
+        # A repeated dictionary entry (the encoder never writes one).
+        {"num_rows": 2, "columns": [["a", "object",
+                                     {"dictionary": ["x", "x"],
+                                      "codes": _b64([0, 1], "<i4")}]]},
     ])
     def test_decode_table_rejects_malformed_documents(self, doc):
         from repro.service.codec import CodecError, decode_table
