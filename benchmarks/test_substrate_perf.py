@@ -419,24 +419,6 @@ def test_perf_cluster_batches_traced(benchmark):
     assert len(mapping) == len(corpus)
 
 
-def test_perf_shard_merge_groupby(benchmark):
-    """Streaming mergeable group-by over 8 partitions of the synthetic
-    table — the out-of-core merge kernel (:mod:`repro.shard.merge`)."""
-    from repro.shard.merge import merge_group_by
-
-    table = _synthetic_table(200_000)
-    parts = [
-        table.take(np.arange(i, table.num_rows, 8)) for i in range(8)
-    ]
-    spec = {"med": ("value", "median"), "total": ("weight", "sum")}
-
-    def run():
-        return merge_group_by(parts, "key", spec)
-
-    out = benchmark(run)
-    assert out.num_rows == len(set(table["key"]))
-
-
 #: Skewed-shard scheduling workload: one straggler shard carrying 8x the
 #: mean work plus 15 unit shards, two workers.  Sleep-based so the bench
 #: measures *scheduler wall time* (sleeps overlap across pool workers even

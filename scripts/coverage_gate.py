@@ -74,7 +74,6 @@ MIN_REPO_PCT = 80.0
 DEFAULT_TESTS = [
     "tests/test_cache.py",
     "tests/test_shard_equivalence.py",
-    "tests/test_shard_merge_properties.py",
     "tests/test_shard_scheduler.py",
     "tests/test_parallel.py",
     "tests/test_faults.py",

@@ -37,7 +37,7 @@ import numpy as np  # noqa: E402
 
 BASELINE_PATH = REPO_ROOT / "BENCH_substrate.json"
 
-#: Routes the read side cycles through — the standing aggregates a
+#: Routes the read side cycles through — the instance aggregates a
 #: dashboard polls (small bodies; no enrichment pass under load).  The
 #: full ``/tables/instances`` dump is excluded: its body grows with every
 #: ingest, so steady-state load on it measures JSON size, not the server.

@@ -185,7 +185,7 @@ echo "== 14/18 incremental service (3 shuffled HTTP micro-batches must match the
 # HTTP in shuffled order, then reads every table, figure, and the fidelity
 # probes back and writes one digest line per route; the same routes
 # rendered locally from a one-shot batch fold produce the reference file.
-# The diff is the merge-algebra invariant made visible: partitioning and
+# The diff is the fold's invariant made visible: partitioning and
 # arrival order must never change a served byte.
 REPRO_NO_LEDGER=1 python -m repro serve --ingest --scale medium --seed 7 \
     --port 8742 --duration 900 > "$OUT/service_stdout.txt" 2>&1 &

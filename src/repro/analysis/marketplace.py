@@ -19,7 +19,7 @@ from repro.stats.timeseries import (
     bucket_by_week,
     week_index,
 )
-from repro.tables import Table, col, dict_encode
+from repro.tables import dict_encode
 from repro.taxonomy.labels import (
     is_complex_data,
     is_complex_goal,
@@ -40,10 +40,6 @@ class ArrivalSeries:
     batches_issued: np.ndarray
     distinct_tasks_issued: np.ndarray  # clusters with >= 1 batch that week
     median_pickup_time: np.ndarray  # per week, NaN when no batch
-
-
-def _catalog_sampled(released: ReleasedDataset) -> Table:
-    return released.batch_catalog.lazy().filter(col("sampled")).collect()
 
 
 def weekly_arrivals(

@@ -29,7 +29,7 @@ Commands
     ``--live [PORT]`` to serve the same endpoints while it builds,
     without changing a byte of its stdout.  ``--ingest`` adds the
     incremental data plane (:mod:`repro.service`): ``POST /ingest``
-    folds schema-versioned micro-batches into standing aggregates, and
+    folds schema-versioned micro-batches into standing tables, and
     ``GET /tables|/figures|/fidelity`` serve the study byte-identically
     to a one-shot batch build, with ETag-cached responses.
 
@@ -582,7 +582,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     With ``--ingest``, the server also hosts the incremental data plane
     (:mod:`repro.service`): ``POST /ingest`` folds micro-batches into
-    standing aggregates and ``GET /tables|/figures|/fidelity`` serve the
+    standing tables and ``GET /tables|/figures|/fidelity`` serve the
     study with ETag-cached responses.
     """
     import time as time_mod

@@ -3,14 +3,14 @@
 The batch study is a pure function of ``(config, released data)``; this
 package turns it into a long-running service.  ``POST /ingest`` accepts
 schema-versioned micro-batches of catalog rows, instance rows, and task
-HTML, folds them into *standing* state via the shard layer's partition-
-and order-invariant merge algebra (:mod:`repro.shard.merge`,
-:meth:`repro.stats.cdf.EmpiricalCDF.merge`,
-:meth:`repro.stats.histogram.Histogram.merge`) — no rebuild — and
-``GET /tables/<name>``, ``/figures/<name>``, and ``/fidelity`` serve every
+HTML, folds their rows into *standing* tables with the shard layer's
+partition- and order-invariant sorted union (:mod:`repro.shard.merge`)
+— no rebuild — and ``GET /tables/<name>``, ``/figures/<name>``, and ``/fidelity`` serve every
 paper table, figure, and fidelity probe with sha-256 ETags and an
 in-memory, dependency-versioned response cache
-(:mod:`repro.service.respcache`).  Serving writes nothing to disk.
+(:mod:`repro.service.respcache`).  Every served result is computed from
+the folded rows by the batch study's own functions.  Serving writes
+nothing to disk.
 
 The correctness contract, pinned by ``tests/test_service_equivalence.py``:
 **N micro-batches ingested in any order and any partitioning produce
@@ -22,7 +22,8 @@ Modules
   figure payloads (little-endian base64 column buffers, dictionary-coded
   strings, exact round trip, canonical bytes).
 - :mod:`repro.service.state` — :class:`ServiceState`: the standing folds,
-  streaming rollups, layer versions, and the memoized enriched snapshot.
+  the instance aggregates read from them, layer versions, and the
+  memoized enriched snapshot.
 - :mod:`repro.service.respcache` — :class:`ResponseCache`: per-route
   dependency-versioned caching with sha-256 ETags; bodies in a bounded
   memory LRU, re-rendered on a miss.

@@ -14,8 +14,8 @@ Endpoints
 - ``GET /ingest/status`` — wire schema, expected ``config_key``, layer
   versions, and row counts (the client handshake).
 - ``GET /tables`` and ``GET /tables/<name>`` — the released tables
-  (``catalog``, ``instances``), the streaming aggregates
-  (``batch_rollup``, ``trust_cdf``, ``duration_hist``), and the enriched
+  (``catalog``, ``instances``), the instance aggregates computed from
+  them (``batch_rollup``, ``trust_cdf``, ``duration_hist``), and the enriched
   tables (``batch_table``, ``cluster_table``, ``labels``).
 - ``GET /figures`` and ``GET /figures/<name>`` — every
   :class:`~repro.figures.suite.FigureSuite` entry point.
@@ -59,7 +59,8 @@ _NOT_MODIFIED = obs.counter("serve.not_modified")
 
 JSON_CONTENT_TYPE = "application/json; charset=utf-8"
 
-#: Streaming tables: name -> (ServiceState method, state layers read).
+#: Tables read from the folds, no snapshot: name -> (ServiceState method,
+#: state layers read).
 STREAM_TABLES: dict[str, tuple[str, tuple[str, ...]]] = {
     "catalog": ("catalog_table", ("catalog",)),
     "instances": ("instances_table", ("instances",)),

@@ -5,17 +5,21 @@ three *layers* of standing state, each with its own version counter:
 
 - ``catalog`` — batch-catalog rows, an
   :class:`~repro.shard.merge.IncrementalTableFold` keyed by ``batch_id``;
-- ``instances`` — instance-log rows, a fold keyed by ``instance_id``,
-  plus three *streaming* aggregates maintained without any rebuild: a
-  per-batch :class:`~repro.shard.merge.MergeableGroupBy` rollup, the
-  pooled trust :class:`~repro.stats.cdf.EmpiricalCDF` (one part per
-  micro-batch, merged on read), and a fixed-edge duration
-  :class:`~repro.stats.histogram.Histogram`;
+- ``instances`` — instance-log rows, a fold keyed by ``instance_id``;
 - ``html`` — the ``batch_id -> task HTML`` corpus, a plain dict merge.
 
-Every layer's fold is exactly partition- and order-invariant (the merge
-algebra's laws), so the state after N micro-batches depends only on the
-*set* of rows ingested — the service-layer property suite pins this.
+Every layer's fold is exactly partition- and order-invariant, so the
+state after N micro-batches depends only on the *set* of rows ingested —
+the service-layer property suite pins this.
+
+The instance aggregates — the per-batch rollup, the pooled trust CDF and
+the fixed-edge duration histogram — are not kept at all: each read takes
+the finalized instance table under the state lock and computes the
+aggregate outside it with the same public function
+(:func:`batch_rollup`, :func:`trust_cdf_table`, :func:`duration_hist_table`)
+that the differential suites use as the reference.  The finalized table
+is immutable and canonically ordered, so each aggregate is a pure
+function of the ingested row multiset, and an ingest only folds rows.
 
 Ingest is **atomic**: a micro-batch is fully decoded and validated —
 schema version, config key, column schemas, duplicate keys (within the
@@ -46,6 +50,7 @@ one build under a build lock that ingest never takes.
 
 from __future__ import annotations
 
+import math
 import threading
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Mapping
@@ -53,7 +58,7 @@ from typing import TYPE_CHECKING, Any, Mapping
 import numpy as np
 
 from repro import obs
-from repro.shard.merge import IncrementalTableFold, MergeableGroupBy
+from repro.shard.merge import IncrementalTableFold
 from repro.stats.cdf import EmpiricalCDF
 from repro.stats.histogram import Histogram
 
@@ -95,23 +100,29 @@ INSTANCE_SCHEMA: tuple[tuple[str, str], ...] = (
     ("response", "object"),
 )
 
-#: The standing per-batch rollup served at ``/tables/batch_rollup`` —
-#: every aggregation is from the mergeable algebra, so the table is a pure
-#: function of the ingested row multiset.
-ROLLUP_SPEC: dict[str, tuple[str, str]] = {
+
+def _exact_mean(values: np.ndarray) -> float:
+    """The exactly rounded sum of ``values`` (``math.fsum``) over their
+    count: unlike a running sum, independent of the values' order."""
+    return math.fsum(values.tolist()) / values.size
+
+
+#: The per-batch rollup served at ``/tables/batch_rollup`` — every
+#: aggregation depends only on each group's value multiset, so the table
+#: is a pure function of the ingested rows.
+ROLLUP_SPEC: dict[str, tuple[str, Any]] = {
     "num_instances": ("instance_id", "count"),
     "num_workers": ("worker_id", "nunique"),
     "num_items": ("item_id", "nunique"),
-    "trust_mean": ("trust", "mean"),
+    "trust_mean": ("trust", _exact_mean),
     "duration_p50": ("duration_s", "median"),
     "duration_p95": ("duration_s", "p95"),
     "first_start": ("start_time", "min"),
     "last_end": ("end_time", "max"),
 }
 
-#: Fixed bin edges for the streaming duration histogram.  Fixed is what
-#: makes :meth:`Histogram.merge` exact across any partitioning; durations
-#: beyond the last edge fall out of every part identically.
+#: Fixed bin edges for the duration histogram, so its bins do not move as
+#: rows arrive; durations beyond the last edge are not counted.
 DURATION_EDGES = np.linspace(0.0, 7200.0, 49)
 
 
@@ -130,12 +141,10 @@ def with_duration(instances: "Table") -> "Table":
 
 
 def batch_rollup(instances: "Table") -> "Table":
-    """Reference one-shot rollup — what the standing fold must equal."""
-    return (
-        MergeableGroupBy("batch_id", ROLLUP_SPEC)
-        .update(with_duration(instances))
-        .finalize()
-    )
+    """One row per batch, ascending by ``batch_id`` (:data:`ROLLUP_SPEC`)."""
+    from repro.tables import group_by
+
+    return group_by(with_duration(instances), "batch_id").agg(ROLLUP_SPEC)
 
 
 def trust_cdf_table(cdf: EmpiricalCDF) -> "Table":
@@ -148,7 +157,7 @@ def trust_cdf_table(cdf: EmpiricalCDF) -> "Table":
 
 
 def duration_histogram(instances: "Table") -> Histogram:
-    """Fixed-edge histogram of one segment's instance durations."""
+    """Fixed-edge histogram of the instance durations."""
     durations = (
         np.asarray(instances["end_time"]) - np.asarray(instances["start_time"])
     ).astype(np.float64)
@@ -218,12 +227,6 @@ class ServiceState:
         self._catalog = IncrementalTableFold("batch_id")
         self._instances = IncrementalTableFold("instance_id")
         self._html: dict[int, str] = {}
-        self._rollup = MergeableGroupBy("batch_id", ROLLUP_SPEC)
-        self._trust_parts: list[EmpiricalCDF] = []
-        self._hist = Histogram(
-            edges=DURATION_EDGES,
-            counts=np.zeros(len(DURATION_EDGES) - 1, dtype=np.int64),
-        )
         # Sorted unique keys of every ingested catalog/instance row.
         self._batch_keys = np.empty(0, dtype=np.int64)
         self._instance_keys = np.empty(0, dtype=np.int64)
@@ -271,7 +274,7 @@ class ServiceState:
 
         Raises :class:`IngestError` (or :class:`CodecError`) *before any
         state changes* on a malformed payload — a rejected micro-batch
-        leaves every standing aggregate byte-identical.
+        leaves the standing state byte-identical.
         """
         import time
 
@@ -303,19 +306,11 @@ class ServiceState:
                 self._dirty.append(batch_ids)
                 self._versions["catalog"] += 1
             if instances is not None:
-                timed = with_duration(instances)
                 accepted["instance_rows"] = self._instances.fold(instances)
                 self._instance_keys = _with_keys(
                     self._instance_keys, instance_ids
                 )
                 self._dirty.append(np.asarray(instances["batch_id"]))
-                self._rollup.update(timed)
-                trust = np.asarray(instances["trust"])
-                if np.count_nonzero(~np.isnan(trust)):
-                    self._trust_parts.append(EmpiricalCDF.from_sample(trust))
-                self._hist = Histogram.merge(
-                    [self._hist, duration_histogram(instances)]
-                )
                 self._versions["instances"] += 1
             if html:
                 self._html.update(html)
@@ -406,7 +401,7 @@ class ServiceState:
         return unique
 
     # ----------------------------------------------------------------- #
-    # Streaming reads (no rebuild, pure merge algebra)
+    # Streaming reads (the folds, and aggregates computed from them)
     # ----------------------------------------------------------------- #
 
     def catalog_table(self) -> "Table":
@@ -421,23 +416,22 @@ class ServiceState:
                 raise IngestError("no instance rows ingested yet")
             return self._instances.finalize()
 
+    # The aggregates read the finalized table, taken under the lock, and
+    # compute outside it, so a render never holds up an ingest.
+
     def rollup_table(self) -> "Table":
-        with self._lock:
-            if self._instances.num_rows == 0:
-                raise IngestError("no instance rows ingested yet")
-            return self._rollup.finalize()
+        return batch_rollup(self.instances_table())
 
     def trust_cdf(self) -> "Table":
-        with self._lock:
-            if not self._trust_parts:
-                raise IngestError("no instance rows ingested yet")
-            return trust_cdf_table(EmpiricalCDF.merge(self._trust_parts))
+        trust = self.instances_table()["trust"]
+        try:
+            cdf = EmpiricalCDF.from_sample(trust)
+        except ValueError:  # every trust value is NaN
+            raise IngestError("no trust values ingested yet") from None
+        return trust_cdf_table(cdf)
 
     def duration_hist(self) -> "Table":
-        with self._lock:
-            if self._instances.num_rows == 0:
-                raise IngestError("no instance rows ingested yet")
-            return duration_hist_table(self._hist)
+        return duration_hist_table(duration_histogram(self.instances_table()))
 
     # ----------------------------------------------------------------- #
     # The enriched snapshot (memoized per state version)

@@ -30,15 +30,15 @@ Modules
     SHA-256 checksums, quarantine on damage — the :mod:`repro.cache`
     schema-v2 conventions).
 :mod:`repro.shard.merge`
-    Mergeable partial aggregates for group-by results (the out-of-core
-    merge algebra; CDF/histogram merges live on the stats classes).
+    The sorted union of per-shard tables by a unique key
+    (:func:`~repro.shard.merge.merge_sorted_by`), and the incremental fold
+    built on it that holds the ingest service's standing tables.
 :mod:`repro.shard.build`
     Orchestration: fan shard builds out over :mod:`repro.parallel`,
     spill, load, and merge into a released + enriched pair.
 """
 
 from repro.shard.build import build_released_enriched, build_shard_partial
-from repro.shard.merge import MergeableGroupBy, merge_group_by
 from repro.shard.partition import (
     SHARDS_ENV,
     resolve_shards,
@@ -48,12 +48,10 @@ from repro.shard.store import ShardPartial, load_partial, store_partial
 
 __all__ = [
     "SHARDS_ENV",
-    "MergeableGroupBy",
     "ShardPartial",
     "build_released_enriched",
     "build_shard_partial",
     "load_partial",
-    "merge_group_by",
     "resolve_shards",
     "shard_of_batches",
     "store_partial",

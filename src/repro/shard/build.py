@@ -46,6 +46,7 @@ from repro import faults, obs
 from repro.obs import live as obs_live
 from repro.parallel import map_chunks, worker_count
 from repro.shard import store
+from repro.shard.merge import merge_sorted_by
 from repro.shard.store import ShardPartial
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -301,7 +302,7 @@ def merge_partials(
     instance_tables = [p.instances for p in partials]
     for partial in partials:
         partial.instances = None  # type: ignore[assignment]
-    instances = _merge_sorted_by(instance_tables, "instance_id")
+    instances = merge_sorted_by(instance_tables, "instance_id")
 
     released = ReleasedDataset(
         batch_catalog=catalog,
@@ -309,36 +310,3 @@ def merge_partials(
         instances=instances,
     )
     return released, enriched
-
-
-def _merge_sorted_by(tables: list, key: str):
-    """Concatenate tables and stable-sort the rows by ``key``, column-wise.
-
-    Byte-identical to ``concat_tables(tables).take(argsort(table[key],
-    kind="stable"))``, but each column of the union is fetched (for a
-    :class:`~repro.shard.store.SpilledTable`, read from disk), placed into
-    the output, and freed before the next one — peak memory is the merged
-    output plus about one column, not two whole extra tables.  Dictionary
-    columns merge as codes over the sorted union of the shards' canonical
-    dictionaries, so the result is canonical too.  Consumes ``tables``
-    destructively.
-    """
-    from repro.tables import Table
-    from repro.tables.table import _gather, concat_columns
-
-    names = list(tables[0].column_names)
-    key_column = np.concatenate([t.column(key) for t in tables])
-    order = np.argsort(key_column, kind="stable")
-    merged = {}
-    for name in names:
-        if name == key:
-            column = key_column
-        else:
-            parts = [t.column(name) for t in tables]
-            column = concat_columns(parts)
-            parts.clear()
-        merged[name] = _gather(column, order)
-        del column
-    del key_column
-    tables.clear()
-    return Table(merged, copy=False)

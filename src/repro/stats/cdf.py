@@ -8,7 +8,6 @@ metrics are all costs (disagreement, task-time, pickup-time).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -29,25 +28,6 @@ class EmpiricalCDF:
         support = np.sort(array)
         probabilities = np.arange(1, array.size + 1, dtype=np.float64) / array.size
         return cls(support=support, probabilities=probabilities)
-
-    @classmethod
-    def merge(cls, parts: "Sequence[EmpiricalCDF]") -> "EmpiricalCDF":
-        """Exact CDF of the pooled sample underlying ``parts``.
-
-        An empirical CDF *is* its sorted sample, so merging is a sorted
-        union of the supports: ``merge([from_sample(a), from_sample(b)])``
-        equals ``from_sample(concat(a, b))`` bit for bit, regardless of how
-        the sample was partitioned or in which order parts are merged.
-        This is the streaming-merge kernel the sharded pipeline
-        (:mod:`repro.shard`) uses to pool per-shard distributions.
-        """
-        if not parts:
-            raise ValueError("cannot merge zero CDFs")
-        pooled = np.sort(np.concatenate([p.support for p in parts]))
-        probabilities = (
-            np.arange(1, pooled.size + 1, dtype=np.float64) / pooled.size
-        )
-        return cls(support=pooled, probabilities=probabilities)
 
     @property
     def sample_size(self) -> int:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -41,24 +40,6 @@ class Histogram:
     def as_pairs(self) -> list[tuple[float, int]]:
         """(bin lower edge, count) pairs — convenient for text reporting."""
         return [(float(e), int(c)) for e, c in zip(self.edges[:-1], self.counts)]
-
-    @classmethod
-    def merge(cls, parts: "Sequence[Histogram]") -> "Histogram":
-        """Sum of histograms over *identical* bin edges.
-
-        Counts are integers, so the merge is exact, associative,
-        commutative, and partition-invariant — the streaming-merge kernel
-        the sharded pipeline (:mod:`repro.shard`) uses to pool per-shard
-        histograms.  Raises if any part disagrees on the edges.
-        """
-        if not parts:
-            raise ValueError("cannot merge zero histograms")
-        edges = parts[0].edges
-        for p in parts[1:]:
-            if len(p.edges) != len(edges) or not np.array_equal(p.edges, edges):
-                raise ValueError("histogram merge requires identical bin edges")
-        counts = np.sum([p.counts for p in parts], axis=0).astype(np.int64)
-        return cls(edges=edges, counts=counts)
 
 
 def linear_histogram(values, *, bins: int = 20, lo: float | None = None,

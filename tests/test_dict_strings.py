@@ -31,7 +31,7 @@ from repro.dataset.release import ReleasedDataset, release_dataset
 from repro.enrichment.metrics import compute_batch_metrics
 from repro.enrichment.pipeline import enrich_dataset
 from repro.figures.suite import FigureSuite
-from repro.shard.build import _merge_sorted_by
+from repro.shard.merge import merge_sorted_by
 from repro.shard.merge import IncrementalTableFold
 from repro.simulator import engine
 from repro.simulator.answers import modal_probability_for_disagreement
@@ -133,7 +133,7 @@ def test_canonical_form_is_partition_and_order_invariant(
     # Rows shuffled inside each part, parts arriving in any order.
     shuffled = [p[rng.permutation(len(p))] for p in parts]
     arrival = [shuffled[int(i)] for i in rng.permutation(len(shuffled))]
-    merged = _merge_sorted_by(
+    merged = merge_sorted_by(
         [Table({"id": ids[p], "s": canonical_dict(strings[p])}) for p in arrival],
         "id",
     )

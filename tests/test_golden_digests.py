@@ -59,6 +59,23 @@ GOLDEN = {
 }
 
 
+#: sha-256 of each instance aggregate's served body for the same study.
+STREAM_GOLDEN = {
+    "batch_rollup": (
+        "1cd5400fd207df2af5f9a673efcf5b79"
+        "c257c71e301aba9dfdd9384b891facb5"
+    ),
+    "trust_cdf": (
+        "7a89f64e0044f2c84d7565025040c6ff"
+        "5c724765bc1832c43cabebb27082e694"
+    ),
+    "duration_hist": (
+        "5bf21cc3bf68fb08ac63b27767953c18"
+        "da46532dad8bc2002c0b4e1a6729aa25"
+    ),
+}
+
+
 def table_digest(table) -> str:
     """SHA-256 over a table's column names, dtypes and values, in order."""
     digest = hashlib.sha256()
@@ -94,6 +111,31 @@ def figures_digest(study) -> str:
     return digest.hexdigest()
 
 
+def stream_digests(study) -> dict[str, str]:
+    """SHA-256 of each served instance-aggregate body
+    (``/tables/batch_rollup``, ``/tables/trust_cdf``,
+    ``/tables/duration_hist``), computed from the released instances."""
+    from repro.service.app import table_body
+    from repro.service.state import (
+        batch_rollup, duration_hist_table, duration_histogram,
+        trust_cdf_table,
+    )
+    from repro.stats.cdf import EmpiricalCDF
+
+    instances = study.released.instances
+    tables = {
+        "batch_rollup": batch_rollup(instances),
+        "trust_cdf": trust_cdf_table(
+            EmpiricalCDF.from_sample(instances["trust"])
+        ),
+        "duration_hist": duration_hist_table(duration_histogram(instances)),
+    }
+    return {
+        name: hashlib.sha256(table_body(table)).hexdigest()
+        for name, table in tables.items()
+    }
+
+
 def compute_digests(study) -> dict[str, str]:
     released, enriched = study.released, study.enriched
     return {
@@ -109,10 +151,25 @@ def compute_digests(study) -> dict[str, str]:
 
 
 @pytest.fixture(scope="module")
-def digests():
-    return compute_digests(build_study("tiny", seed=7, cache=False))
+def study():
+    return build_study("tiny", seed=7, cache=False)
+
+
+@pytest.fixture(scope="module")
+def digests(study):
+    return compute_digests(study)
 
 
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_tiny_study_digest(digests, name):
     assert digests[name] == GOLDEN[name], f"{name} bytes moved"
+
+
+@pytest.fixture(scope="module")
+def streams(study):
+    return stream_digests(study)
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_GOLDEN))
+def test_stream_tables(streams, name):
+    assert streams[name] == STREAM_GOLDEN[name], f"{name} bytes moved"

@@ -3,7 +3,7 @@
 The service's contract (see :mod:`repro.service`) mirrors the shard
 layer's: for any number of micro-batches K, any assignment of rows to
 micro-batches, and any arrival order, every byte the service serves —
-released tables, streaming aggregates, enriched tables, figures, fidelity
+released tables, instance aggregates, enriched tables, figures, fidelity
 probes — must equal what a monolithic batch build produces.  These tests
 ingest over a **real HTTP socket** (the production path through
 ``ThreadingHTTPServer`` → ``ServiceApp`` → ``ServiceState``) and compare

@@ -3,7 +3,7 @@
 Same discipline as the ``serve.request`` trio in ``test_live.py``, with
 one more obligation: ingest is a *write*, so beyond surviving and
 counting (``serve.ingest_failed``), a faulted request must leave every
-standing aggregate **byte-identical** — the atomic accept-or-reject
+served table **byte-identical** — the atomic accept-or-reject
 contract of :meth:`repro.service.state.ServiceState.ingest`.
 
 ``corrupt`` physically truncates the uploaded body before parsing, so

@@ -475,6 +475,58 @@ class TestSingleFlight:
         )])
 
 
+    def test_ingest_does_not_wait_behind_a_rollup_render(
+        self, corpus, monkeypatch
+    ):
+        from repro.service import state as state_mod
+
+        config, released = corpus
+        n = released.instances.num_rows
+        first, rest = np.arange(n // 2), np.arange(n // 2, n)
+        app = ServiceApp(config)
+        server = live.serve_background(app=app)
+        client = ServiceClient("127.0.0.1", server.port, timeout=60)
+        client.ingest(Parts(instances=first).payload(config, released))
+        started, release = threading.Event(), threading.Event()
+        real_rollup = state_mod.batch_rollup
+
+        def blocked_rollup(instances):
+            started.set()
+            assert release.wait(30)
+            return real_rollup(instances)
+
+        monkeypatch.setattr(state_mod, "batch_rollup", blocked_rollup)
+        served: list = []
+        reader = threading.Thread(
+            target=lambda: served.append(client.get("/tables/batch_rollup"))
+        )
+        reader.start()
+        try:
+            assert started.wait(30)
+            # The render is parked inside batch_rollup; the state lock
+            # must be free for an ingest.
+            writer = threading.Thread(target=app.state.ingest, args=(
+                Parts(instances=rest).payload(config, released),
+            ))
+            writer.start()
+            writer.join(30)
+            assert not writer.is_alive()
+        finally:
+            release.set()
+            reader.join(60)
+        assert app.state.versions()["instances"] == 2
+        # The render answers for the rows it read: the first payload's.
+        status, _, body = served[0]
+        assert status == 200
+        assert body == table_body(real_rollup(
+            _sorted(_take(released.instances, first), "instance_id")
+        ))
+        monkeypatch.undo()
+        status, _, body = client.get("/tables/batch_rollup")
+        assert status == 200
+        assert body == table_body(real_rollup(released.instances))
+
+
 # --------------------------------------------------------------------- #
 # Incremental fold finalize
 # --------------------------------------------------------------------- #

@@ -4,14 +4,13 @@ Hypothesis generates arbitrary synthetic marketplaces (catalog rows,
 instance rows, HTML docs), arbitrary partitionings of them into
 micro-batches, and arbitrary arrival orders, then checks the laws
 :mod:`repro.service.state` documents **at the service layer** — through
-``ServiceState.ingest`` with real wire payloads, not the merge kernels in
-isolation:
+``ServiceState.ingest`` with real wire payloads:
 
 - **Partition + order invariance**: every served table (released tables
-  and all three streaming aggregates) depends only on the *set* of rows
+  and all three instance aggregates) depends only on the *set* of rows
   ingested, never on how they were batched or in what order they arrived.
 - **Rejected payloads change nothing**: a duplicate or malformed
-  micro-batch leaves every standing aggregate byte-identical.
+  micro-batch leaves every served table byte-identical.
 
 The HTTP-layer half pins the cache contract: the ETag changes *iff* the
 served bytes change (ingests into other layers leave it fixed), a stale
