@@ -48,9 +48,10 @@ REPORT_PATH = REPO_ROOT / "bench_report.txt"
 #: (the vectorized minhash + group-by fast paths, the byte-level shingle
 #: tokenizer, the lazy-plan fused/dictionary kernels, the work-stealing
 #: chunk scheduler vs static placement, the service's ETag response
-#: cache vs re-rendering every read, and design extraction once per
-#: distinct interface vs once per document); their ratios must never
-#: silently decay.
+#: cache vs re-rendering every read, design extraction once per
+#: distinct interface vs once per document, and the CART split search
+#: scoring every boundary in one array pass vs one Gini call per
+#: boundary); their ratios must never silently decay.
 GUARDED_SPEEDUPS = (
     "minhash_batch",
     "group_by_median",
@@ -60,6 +61,7 @@ GUARDED_SPEEDUPS = (
     "fused_filter_project",
     "shard_sched_skewed",
     "service_read_cached",
+    "decision_tree_fit",
 )
 
 

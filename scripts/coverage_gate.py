@@ -23,6 +23,9 @@ Gates
 - ``src/repro/cache.py``: **>= 85%**, enforced always.  It owns the
   on-disk entry protocol (atomic write, checksums, quarantine) that study
   entries and shard spills share.
+- ``src/repro/ml``: **>= 85%**, enforced always.  The CART split search
+  scores every candidate boundary in one array pass; its differential
+  tests pin it to the per-candidate loop it replaced.
 - repo-wide ``src/repro``: **>= 80%**, enforced when the ``coverage``
   package (the engine behind ``pytest-cov``, declared in the ``dev``
   extra) is importable, and *visibly skipped* otherwise — measuring the
@@ -67,6 +70,7 @@ PACKAGE_GATES: dict[str, float] = {
     "service": 85.0,
     "html": 85.0,
     "cache": 85.0,
+    "ml": 85.0,
 }
 MIN_REPO_PCT = 80.0
 
@@ -99,6 +103,7 @@ DEFAULT_TESTS = [
     "tests/test_interface_key.py",
     "tests/test_batch_metrics.py",
     "tests/test_dict_strings.py",
+    "tests/test_ml.py",
 ]
 
 

@@ -17,6 +17,7 @@ from repro.enrichment.pipeline import EnrichedDataset
 from repro.stats.timeseries import (
     bucket_by_day,
     bucket_by_week,
+    distinct_by_bucket,
     week_index,
 )
 from repro.tables import dict_encode
@@ -60,12 +61,9 @@ def weekly_arrivals(
 
     # Distinct tasks (clusters) per week.
     weeks = week_index(created)
-    clusters = batch_table["cluster_id"]
-    distinct = np.zeros(num_weeks)
-    for w in range(num_weeks):
-        mask = weeks == w
-        if mask.any():
-            distinct[w] = len(np.unique(clusters[mask]))
+    distinct = distinct_by_bucket(
+        weeks, batch_table["cluster_id"], num_buckets=num_weeks
+    )
 
     # Median pickup time per week (across batches created that week).
     pickup = batch_table["pickup_time"]
@@ -135,18 +133,11 @@ def weekday_totals(enriched: EnrichedDataset) -> np.ndarray:
 
 def weekly_active_workers(released: ReleasedDataset, *, num_weeks: int) -> np.ndarray:
     """Distinct workers performing work each week (Figure 4)."""
-    weeks = week_index(released.instances["start_time"])
-    workers = released.instances["worker_id"]
-    out = np.zeros(num_weeks)
-    order = np.argsort(weeks, kind="stable")
-    sorted_weeks = weeks[order]
-    starts = np.flatnonzero(np.r_[True, sorted_weeks[1:] != sorted_weeks[:-1]])
-    ends = np.r_[starts[1:], len(sorted_weeks)]
-    for s, e in zip(starts, ends):
-        w = int(sorted_weeks[s])
-        if w < num_weeks:
-            out[w] = len(np.unique(workers[order[s:e]]))
-    return out
+    return distinct_by_bucket(
+        week_index(released.instances["start_time"]),
+        released.instances["worker_id"],
+        num_buckets=num_weeks,
+    )
 
 
 @dataclass(frozen=True)
@@ -172,37 +163,26 @@ def engagement_split(released: ReleasedDataset, *, num_weeks: int) -> Engagement
 
     weeks = week_index(instances["start_time"])
     in_range = weeks < num_weeks
-    weeks = weeks[in_range]
-    is_top = top_set[workers[in_range]]
+    active = workers[in_range]
+    # One bucket per (week, class): 2 * week, plus 1 for the top 10%.
+    bucket = 2 * weeks[in_range] + top_set[active]
     durations = (
         instances["end_time"][in_range] - instances["start_time"][in_range]
     ).astype(np.float64)
 
-    tasks_top = np.bincount(weeks[is_top], minlength=num_weeks).astype(np.float64)
-    tasks_bot = np.bincount(weeks[~is_top], minlength=num_weeks).astype(np.float64)
-
-    def mean_active_time(mask: np.ndarray) -> np.ndarray:
-        time_total = np.bincount(
-            weeks[mask], weights=durations[mask], minlength=num_weeks
-        )
-        # Distinct workers of that class active per week.
-        distinct = np.zeros(num_weeks)
-        wk = weeks[mask]
-        ids = workers[in_range][mask]
-        order = np.argsort(wk, kind="stable")
-        sw = wk[order]
-        starts = np.flatnonzero(np.r_[True, sw[1:] != sw[:-1]])
-        ends = np.r_[starts[1:], len(sw)]
-        for s, e in zip(starts, ends):
-            distinct[sw[s]] = len(np.unique(ids[order[s:e]]))
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return np.where(distinct > 0, time_total / distinct, 0.0)
+    num_buckets = 2 * num_weeks
+    tasks = np.bincount(bucket, minlength=num_buckets).astype(np.float64)
+    time_total = np.bincount(bucket, weights=durations, minlength=num_buckets)
+    # Distinct workers of each class active per week.
+    distinct = distinct_by_bucket(bucket, active, num_buckets=num_buckets)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        active_time = np.where(distinct > 0, time_total / distinct, 0.0)
 
     return EngagementSplit(
-        tasks_top10=tasks_top,
-        tasks_bottom90=tasks_bot,
-        active_time_top10=mean_active_time(is_top),
-        active_time_bottom90=mean_active_time(~is_top),
+        tasks_top10=tasks[1::2],
+        tasks_bottom90=tasks[0::2],
+        active_time_top10=active_time[1::2],
+        active_time_bottom90=active_time[0::2],
     )
 
 

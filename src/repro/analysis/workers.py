@@ -14,7 +14,7 @@ import numpy as np
 
 from repro.dataset.release import ReleasedDataset
 from repro.stats.descriptive import top_share
-from repro.stats.timeseries import DAY_SECONDS, week_index
+from repro.stats.timeseries import DAY_SECONDS, distinct_by_bucket, week_index
 from repro.tables import Table, group_by
 
 SECONDS_PER_HOUR = 3600.0
@@ -74,21 +74,11 @@ def source_statistics(released: ReleasedDataset) -> Table:
 def active_sources_per_week(released: ReleasedDataset, *, num_weeks: int) -> np.ndarray:
     """Distinct sources with any activity each week (Figure 26b)."""
     instances = released.instances
-    per_week = group_by(
-        Table(
-            {
-                "week": week_index(instances["start_time"]),
-                "source": instances.column("source"),
-            },
-            copy=False,
-        ),
-        "week",
-    ).agg({"sources": ("source", "nunique")})
-    weeks = per_week["week"]
-    out = np.zeros(num_weeks)
-    in_range = weeks < num_weeks
-    out[weeks[in_range]] = per_week["sources"][in_range]
-    return out
+    return distinct_by_bucket(
+        week_index(instances["start_time"]),
+        instances.column("source"),
+        num_buckets=num_weeks,
+    )
 
 
 def top_sources(
@@ -152,43 +142,47 @@ class WorkerProfiles:
 
 
 def worker_profiles(released: ReleasedDataset) -> WorkerProfiles:
-    """Compute per-worker aggregates from the instance log."""
+    """Compute per-worker aggregates from the instance log.
+
+    One group-by over workers: lifetimes from the min/max active day,
+    working days from the grouped distinct count, hours from the integer
+    seconds (an exact sum in any order).  ``mean_trust`` divides one
+    ``np.add.reduce`` per worker segment, the pairwise sum that
+    ``ndarray.mean`` takes: the grouped ``"sum"`` (``reduceat``) adds in
+    another order, and its float sums can differ in the last place.
+    """
     instances = released.instances
-    workers = instances["worker_id"]
     start = instances["start_time"]
-    duration = (instances["end_time"] - start).astype(np.float64)
-    days = start // DAY_SECONDS
-    trust = instances["trust"]
-
-    order = np.argsort(workers, kind="stable")
-    sw = workers[order]
-    starts = np.flatnonzero(np.r_[True, sw[1:] != sw[:-1]])
-    ends = np.r_[starts[1:], len(sw)]
-
-    n = len(starts)
-    out_ids = sw[starts]
-    num_tasks = (ends - starts).astype(np.int64)
-    lifetime = np.empty(n, dtype=np.int64)
-    working = np.empty(n, dtype=np.int64)
-    hours = np.empty(n)
-    mean_trust = np.empty(n)
-    days_ordered = days[order]
-    duration_ordered = duration[order]
-    trust_ordered = trust[order]
-    for i, (s, e) in enumerate(zip(starts, ends)):
-        d = days_ordered[s:e]
-        lifetime[i] = int(d.max() - d.min()) + 1
-        working[i] = len(np.unique(d))
-        hours[i] = duration_ordered[s:e].sum() / SECONDS_PER_HOUR
-        mean_trust[i] = trust_ordered[s:e].mean()
-
+    per_worker = group_by(
+        Table(
+            {
+                "worker_id": instances["worker_id"],
+                "day": start // DAY_SECONDS,
+                "seconds": instances["end_time"] - start,
+                "trust": instances["trust"],
+            },
+            copy=False,
+        ),
+        "worker_id",
+    ).agg(
+        {
+            "num_tasks": ("day", "count"),
+            "first_day": ("day", "min"),
+            "last_day": ("day", "max"),
+            "working_days": ("day", "nunique"),
+            "seconds": ("seconds", "sum"),
+            "trust_sum": ("trust", np.add.reduce),
+        }
+    )
     return WorkerProfiles(
-        worker_id=out_ids.astype(np.int64),
-        num_tasks=num_tasks,
-        lifetime_days=lifetime,
-        working_days=working,
-        total_hours=hours,
-        mean_trust=mean_trust,
+        worker_id=per_worker["worker_id"].astype(np.int64),
+        num_tasks=per_worker["num_tasks"],
+        lifetime_days=(
+            per_worker["last_day"] - per_worker["first_day"] + 1
+        ).astype(np.int64),
+        working_days=per_worker["working_days"],
+        total_hours=per_worker["seconds"].astype(np.float64) / SECONDS_PER_HOUR,
+        mean_trust=per_worker["trust_sum"] / per_worker["num_tasks"],
     )
 
 

@@ -115,41 +115,49 @@ class DecisionTreeClassifier:
     def _best_split(
         self, X: np.ndarray, y: np.ndarray, parent_counts: np.ndarray
     ) -> Optional[tuple[int, float]]:
+        """The first ``(feature, threshold)`` of maximal Gini gain, or None.
+
+        Every candidate boundary of every feature is scored in one array
+        pass.  Each side's impurity is ``1 - sum((counts / n_side)**2)``,
+        summed per candidate along the class axis, which is the same
+        reduction :func:`_gini` runs on one count vector, so the gains are
+        bit-identical to scoring the candidates one at a time.  Ties go to
+        the first candidate in (feature, boundary) order: the first-max
+        ``argmax`` over the feature-major gains, taken only if it beats
+        ``min_impurity_decrease``.
+        """
         n = len(y)
-        parent_impurity = _gini(parent_counts)
-        best_gain = self.min_impurity_decrease
-        best: Optional[tuple[int, float]] = None
+        # One stable sort per feature column; ties keep their row order.
+        order = np.argsort(X, axis=0, kind="stable")
+        sorted_values = X[order, np.arange(X.shape[1])]
+        # Candidate boundaries: positions where a feature's value changes,
+        # listed feature-major (the order of the first-wins tie rule).
+        features, positions = np.nonzero(
+            (sorted_values[1:] != sorted_values[:-1]).T
+        )
+        if features.size == 0:
+            return None
 
-        for feature in range(X.shape[1]):
-            column = X[:, feature]
-            order = np.argsort(column, kind="stable")
-            sorted_values = column[order]
-            sorted_labels = y[order]
+        # Cumulative class counts along each feature's sorted order give
+        # every candidate's left-side counts in O(n * d * classes).
+        one_hot = y[order][:, :, None] == np.arange(self._num_classes)
+        left_counts = np.cumsum(one_hot, axis=0, dtype=np.int64)
+        left = left_counts[positions, features]
+        right = parent_counts - left
+        n_left = positions + 1
+        n_right = n - n_left
+        gini_left = 1.0 - np.square(left / n_left[:, None]).sum(axis=1)
+        gini_right = 1.0 - np.square(right / n_right[:, None]).sum(axis=1)
+        gain = _gini(parent_counts) - (
+            n_left * gini_left + n_right * gini_right
+        ) / n
 
-            # Cumulative class counts along the sorted order let us evaluate
-            # every candidate split in O(n * classes).
-            one_hot = np.zeros((n, self._num_classes), dtype=np.int64)
-            one_hot[np.arange(n), sorted_labels] = 1
-            left_counts = np.cumsum(one_hot, axis=0)
-
-            # Candidate boundaries: positions where the value changes.
-            boundaries = np.flatnonzero(sorted_values[1:] != sorted_values[:-1])
-            if boundaries.size == 0:
-                continue
-            for b in boundaries:
-                left = left_counts[b]
-                right = parent_counts - left
-                n_left = b + 1
-                n_right = n - n_left
-                weighted = (
-                    n_left * _gini(left) + n_right * _gini(right)
-                ) / n
-                gain = parent_impurity - weighted
-                if gain > best_gain:
-                    best_gain = gain
-                    threshold = (sorted_values[b] + sorted_values[b + 1]) / 2.0
-                    best = (feature, float(threshold))
-        return best
+        best = int(np.argmax(gain))
+        if not gain[best] > self.min_impurity_decrease:
+            return None
+        feature, b = int(features[best]), positions[best]
+        threshold = (sorted_values[b, feature] + sorted_values[b + 1, feature]) / 2.0
+        return feature, float(threshold)
 
     # ------------------------------------------------------------------ #
 
@@ -160,12 +168,18 @@ class DecisionTreeClassifier:
         X = np.asarray(features, dtype=np.float64)
         if X.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {X.shape}")
+        # Route row-index sets down the tree: each internal node splits its
+        # rows with the same ``<=`` test the per-row walk applies.
         out = np.empty(X.shape[0], dtype=np.int64)
-        for i in range(X.shape[0]):
-            node = self._root
-            while not node.is_leaf:
-                node = node.left if X[i, node.feature] <= node.threshold else node.right
-            out[i] = node.prediction
+        pending = [(self._root, np.arange(X.shape[0]))]
+        while pending:
+            node, rows = pending.pop()
+            if node.is_leaf:
+                out[rows] = node.prediction
+                continue
+            go_left = X[rows, node.feature] <= node.threshold
+            pending.append((node.left, rows[go_left]))
+            pending.append((node.right, rows[~go_left]))
         return out
 
     def depth(self) -> int:

@@ -29,7 +29,7 @@ from repro.analysis import workers as wk
 from repro.dataset.release import release_dataset
 from repro.simulator.config import SimulationConfig
 from repro.simulator.engine import simulate_marketplace
-from repro.stats.timeseries import week_index
+from repro.stats.timeseries import distinct_by_bucket, week_index
 
 
 @dataclass(frozen=True)
@@ -73,11 +73,11 @@ def _evaluate(name: str, config: SimulationConfig) -> PolicyOutcome:
     weeks = week_index(instances["start_time"])
     switch = config.regime_switch_week
     post = weeks >= switch
-    active_per_week: list[int] = []
-    for week in range(switch, config.num_weeks):
-        mask = weeks == week
-        if mask.any():
-            active_per_week.append(len(np.unique(instances["worker_id"][mask])))
+    active_per_week = distinct_by_bucket(
+        weeks, instances["worker_id"], num_buckets=config.num_weeks
+    )[switch:]
+    # Weeks without activity are left out of the mean.
+    active_per_week = active_per_week[active_per_week > 0]
 
     profiles = wk.worker_profiles(released)
     concentration = wk.workload_concentration(profiles)
@@ -87,7 +87,7 @@ def _evaluate(name: str, config: SimulationConfig) -> PolicyOutcome:
         median_pickup_seconds=float(np.median(pickup[post])),
         p90_pickup_seconds=float(np.percentile(pickup[post], 90)),
         mean_weekly_active_workers=float(np.mean(active_per_week))
-        if active_per_week
+        if active_per_week.size
         else 0.0,
         top10_task_share=concentration.top10_task_share,
         one_day_task_share=concentration.one_day_task_share,

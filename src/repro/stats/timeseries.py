@@ -12,6 +12,8 @@ import datetime as _dt
 
 import numpy as np
 
+from repro.tables import Table, group_by
+
 DAY_SECONDS = 86_400
 WEEK_SECONDS = 7 * DAY_SECONDS
 
@@ -68,6 +70,24 @@ def bucket_by_week(timestamps, *, num_weeks: int | None = None,
         return np.bincount(weeks, minlength=num_weeks).astype(np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     return np.bincount(weeks, weights=weights, minlength=num_weeks)
+
+
+def distinct_by_bucket(buckets, values, *, num_buckets: int) -> np.ndarray:
+    """Distinct ``values`` per bucket, as floats of length ``num_buckets``.
+
+    ``buckets`` holds each row's non-negative bucket index (a week index
+    from :func:`week_index`, or a week and class folded into one code);
+    entry ``b`` is ``len(np.unique(values[buckets == b]))``, 0 for a bucket
+    without rows.  Rows of buckets past ``num_buckets`` are dropped.  One
+    grouped ``nunique`` counts every bucket at once.
+    """
+    per_bucket = group_by(
+        Table({"bucket": buckets, "value": values}, copy=False), "bucket"
+    ).agg({"distinct": ("value", "nunique")})
+    out = np.zeros(num_buckets)
+    in_range = per_bucket["bucket"] < num_buckets
+    out[per_bucket["bucket"][in_range]] = per_bucket["distinct"][in_range]
+    return out
 
 
 def bucket_by_day(timestamps, *, num_days: int | None = None,

@@ -6,9 +6,9 @@ segment-wise reductions.  Cheap reductions (count/sum/min/max) use
 ``numpy.*.reduceat``; order statistics (``median``, ``p<NN>``) sort values
 within their group segments once and then index the k-th order statistic of
 every segment with pure array arithmetic; ``std`` centers per group and
-reduces sum-of-squares with ``reduceat``; ``nunique`` counts value changes
-along the per-group sorted order.  No aggregation loops over groups except
-``collect`` and user callables.
+reduces sum-of-squares with ``reduceat``; ``nunique`` sorts one int64
+``(group, value code)`` key and counts its changes per group.  No
+aggregation loops over groups except ``collect`` and user callables.
 
 Order statistics are bit-identical to ``np.median``/``np.percentile`` on
 each segment (including NaN propagation); ``std`` matches ``ndarray.std``
@@ -125,12 +125,6 @@ class GroupedTable:
         return [self._order[s:e] for s, e in zip(self._starts, ends)]
 
     # ------------------------------------------------------------------ #
-
-    def _segment_values(self, column: str) -> list[np.ndarray]:
-        values = self._table[column]
-        return [values[idx] for idx in self.segments()]
-
-    # ------------------------------------------------------------------ #
     # Segment-vectorized kernels
     # ------------------------------------------------------------------ #
 
@@ -195,39 +189,59 @@ class GroupedTable:
         sumsq = np.add.reduceat(centered * centered, self._starts)
         return np.sqrt(sumsq / counts)
 
+    def _ordered_codes(self, in_name: str) -> tuple[np.ndarray, int]:
+        """Integer codes of a column's values, in group order, and their
+        exclusive upper bound (at least 1); equal codes mean equal values."""
+        raw = self._table.column(in_name)
+        if isinstance(raw, DictColumn):
+            # Codes are distinct exactly when values are (the uniques table
+            # has no duplicates).
+            return raw.codes[self._order], max(len(raw.uniques), 1)
+        if raw.dtype.kind == "i" or (
+            raw.dtype.kind == "u" and raw.dtype.itemsize < 8
+        ):
+            # Offsets from the minimum skip factorize's dense re-coding
+            # whenever the key has room for the value span.
+            low = int(raw.min())
+            span = int(raw.max()) - low + 1
+            if self.num_groups <= _INT64_MAX // span:
+                ordered = raw[self._order].astype(np.int64, copy=False)
+                ordered -= low
+                return ordered, span
+        codes, uniques = factorize(raw)
+        return codes[self._order], max(len(uniques), 1)
+
     def _group_nunique(self, in_name: str) -> np.ndarray:
         """Distinct values per group, matching the per-segment semantics of
         ``len(np.unique(seg))`` (NaNs collapse to one) for numeric columns and
-        ``len(set(seg))`` for object columns."""
+        ``len(set(seg))`` for object columns.
+
+        Values become integer codes below a bound ``cardinality``: a
+        ``DictColumn``'s own codes, an integer column's offsets from its
+        minimum (when the key fits int64 with them), else :func:`factorize`'s
+        dense codes, which give every NaN one code.  Each row gets one int64
+        key ``group_id * cardinality + code``.  One value sort of the keys
+        leaves every group's keys contiguous and in group order, so the
+        groups keep their segment starts and each distinct value is one key
+        change.  Raises ``OverflowError`` if the key could exceed int64.
+        """
         if self.num_groups == 0:
             return np.empty(0, dtype=np.int64)
-        raw = self._table.column(in_name)
-        if isinstance(raw, DictColumn):
-            # Codes are distinct exactly when values are (uniques table has
-            # no duplicates), so count distinct codes directly.
-            ordered = raw.codes[self._order]
-        elif raw.dtype == object:
-            codes, _ = factorize(raw)
-            ordered = codes[self._order]
-        else:
-            ordered = raw[self._order]
-        group_ids = self._group_ids()
-        perm = np.lexsort((ordered, group_ids))
-        sorted_vals = ordered[perm]
-
-        new_group = np.r_[True, group_ids[1:] != group_ids[:-1]]
-        changed = np.r_[True, sorted_vals[1:] != sorted_vals[:-1]]
-        distinct = new_group | changed
-        if sorted_vals.dtype.kind == "f":
-            # NaNs sort last within each group; each NaN compares unequal to
-            # its neighbor, so mask them out and count at most one per group.
-            nan_mask = np.isnan(sorted_vals)
-            distinct &= ~nan_mask
-            has_nan = np.logical_or.reduceat(nan_mask, self._starts)
-        else:
-            has_nan = np.zeros(self.num_groups, dtype=bool)
-        out = np.add.reduceat(distinct.astype(np.int64), self._starts)
-        return out + has_nan
+        ordered, cardinality = self._ordered_codes(in_name)
+        if self.num_groups > _INT64_MAX // cardinality:
+            raise OverflowError(
+                f"(group, value) key needs {self.num_groups} groups x "
+                f"{cardinality} distinct values of {in_name!r}, above the "
+                f"int64 bound {_INT64_MAX}"
+            )
+        key = self._group_ids() * cardinality
+        key += ordered
+        del ordered
+        key.sort()
+        changed = np.empty(len(key), dtype=bool)
+        changed[0] = True
+        np.not_equal(key[1:], key[:-1], out=changed[1:])
+        return np.add.reduceat(changed, self._starts, dtype=np.int64)
 
     def agg(self, spec: Mapping[str, tuple[str, str] | tuple[str, Callable]]) -> Table:
         """Aggregate into one row per group.
@@ -253,6 +267,9 @@ class GroupedTable:
         ends = np.r_[self._starts[1:], len(self._order)]
         counts = ends - self._starts
 
+        # Group-ordered values, gathered once per input column and shared
+        # by every aggregation over it that does not hand out segments.
+        ordered_cache: dict[str, np.ndarray] = {}
         # Within-group sorted values, computed once per input column and
         # shared by every order-statistic aggregation over it.
         sorted_cache: dict[str, np.ndarray] = {}
@@ -286,19 +303,24 @@ class GroupedTable:
             if how == "nunique":
                 out[out_name] = self._group_nunique(in_name)
                 continue
-            values = self._table[in_name]
-            ordered = values[self._order]
-
-            if callable(how):
-                out[out_name] = [how(seg) for seg in self._segment_values(in_name)]
-                continue
-            if how == "collect":
-                segs = self._segment_values(in_name)
+            if callable(how) or how == "collect":
+                # One gather, cut into per-group views; a fresh gather per
+                # aggregation, so a callable that mutates its segment
+                # cannot change another output.
+                ordered = self._table[in_name][self._order]
+                segs = np.split(ordered, self._starts[1:]) if n else []
+                if callable(how):
+                    out[out_name] = [how(seg) for seg in segs]
+                    continue
                 col = np.empty(n, dtype=object)
                 for j, seg in enumerate(segs):
                     col[j] = list(seg)
                 out[out_name] = col
                 continue
+            ordered = ordered_cache.get(in_name)
+            if ordered is None:
+                ordered = self._table[in_name][self._order]
+                ordered_cache[in_name] = ordered
             if how in ("first", "last"):
                 offsets = self._starts if how == "first" else ends - 1
                 out[out_name] = ordered[offsets]

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.tables import Table, group_by
+from repro.tables import DictColumn, Table, dict_encode, group_by
 
 _KEY_POOL = ["a", "b", "c", "d", "e"]
 
@@ -36,18 +36,11 @@ def _naive_aggregate(table: Table, key: str, column: str, spec: str):
                 np.percentile(group.astype(np.float64), float(spec[1:]))
             )
         elif spec == "nunique":
-            if group.dtype == object:
-                out[k] = len(set(group.tolist()))
-            else:
-                finite = group[~np.isnan(group)] if np.issubdtype(
-                    group.dtype, np.floating
-                ) else group
-                n = len(np.unique(finite))
-                if np.issubdtype(group.dtype, np.floating) and np.isnan(
-                    group
-                ).any():
-                    n += 1
-                out[k] = n
+            # np.unique collapses NaNs into one value.
+            out[k] = (
+                len(set(group.tolist())) if group.dtype == object
+                else len(np.unique(group))
+            )
         else:  # pragma: no cover - guard against typos in the test itself
             raise ValueError(spec)
     return out
@@ -177,6 +170,75 @@ class TestNuniqueKernel:
         assert _grouped_dict(table, "k", "v", "nunique") == _naive_aggregate(
             table, "k", "v", "nunique"
         )
+
+    @settings(max_examples=60, deadline=None)
+    @given(table=_tables(with_nan=False, dtype="object"))
+    def test_dictionary_columns(self, table):
+        coded = Table(
+            {"k": table["k"], "v": dict_encode(table["v"])}, copy=False
+        )
+        assert isinstance(coded.column("v"), DictColumn)
+        assert _grouped_dict(coded, "k", "v", "nunique") == _naive_aggregate(
+            table, "k", "v", "nunique"
+        )
+
+    @pytest.mark.parametrize("dtype", ["float", "int", "object"])
+    def test_empty_table(self, dtype):
+        values = {
+            "float": np.empty(0), "int": np.empty(0, dtype=np.int64),
+            "object": np.empty(0, dtype=object),
+        }[dtype]
+        table = Table({"k": np.empty(0, dtype=np.int64), "v": values})
+        out = group_by(table, "k").agg({"n": ("v", "nunique")})
+        assert out.num_rows == 0 and out["n"].dtype == np.int64
+
+    def test_one_nan_per_group(self):
+        table = Table({
+            "k": np.array([0, 0, 0, 1, 1, 2]),
+            "v": np.array([np.nan, 1.0, 1.0, 2.0, np.nan, np.nan]),
+        })
+        out = group_by(table, "k").agg({"n": ("v", "nunique")})
+        assert out["n"].tolist() == [2, 2, 1]
+        assert dict(zip(out["k"].tolist(), out["n"].tolist())) == (
+            _naive_aggregate(table, "k", "v", "nunique")
+        )
+
+    @pytest.mark.parametrize("dtype", ["float", "int", "object", "dict"])
+    def test_one_group_and_all_distinct_groups(self, dtype):
+        raw = np.random.default_rng(4).integers(0, 40, size=300)
+        values = {
+            "float": raw.astype(np.float64), "int": raw,
+            "object": raw.astype(str).astype(object),
+            "dict": dict_encode(raw.astype(str).astype(object)),
+        }[dtype]
+        for keys in (np.zeros(300, dtype=np.int64), np.arange(300)):
+            table = Table({"k": keys, "v": values}, copy=False)
+            # The reference reads table["v"], which decodes a dictionary.
+            assert _grouped_dict(table, "k", "v", "nunique") == (
+                _naive_aggregate(table, "k", "v", "nunique")
+            )
+
+    def test_key_overflow_raises_naming_the_int64_bound(self):
+        # A dictionary of 2**59 (unreferenced) entries over 17 groups needs
+        # a key above int64; 15 groups still fit.  The uniques table is a
+        # zero-stride view, so nothing that large is allocated.
+        uniques = np.broadcast_to(np.array("x", dtype=object), (2**59,))
+        for groups, fits in ((15, True), (17, False)):
+            table = Table(
+                {
+                    "k": np.arange(groups),
+                    "v": DictColumn(np.zeros(groups, dtype=np.int32), uniques),
+                },
+                copy=False,
+            )
+            grouped = group_by(table, "k")
+            if fits:
+                out = grouped.agg({"n": ("v", "nunique")})
+                assert out["n"].tolist() == [1] * groups
+            else:
+                bound = str(np.iinfo(np.int64).max)
+                with pytest.raises(OverflowError, match=bound):
+                    grouped.agg({"n": ("v", "nunique")})
 
 
 class TestCardinalityOverflowGuard:

@@ -12,6 +12,7 @@ from repro.ml import (
     cross_validate,
     kfold_indices,
 )
+from repro.ml.decision_tree import _gini
 
 
 class TestDecisionTree:
@@ -80,6 +81,154 @@ class TestDecisionTree:
         accuracy = (model.predict(X) == y).mean()
         majority = max(y.mean(), 1 - y.mean())
         assert accuracy >= majority
+
+
+class _LoopTree(DecisionTreeClassifier):
+    """The split search and predict as they were before the array rewrite:
+    one Python iteration and one ``_gini`` call per candidate boundary, one
+    tree walk per row.  Frozen as the reference for the differential test."""
+
+    def _best_split(self, X, y, parent_counts):
+        n = len(y)
+        parent_impurity = _gini(parent_counts)
+        best_gain = self.min_impurity_decrease
+        best = None
+        for feature in range(X.shape[1]):
+            column = X[:, feature]
+            order = np.argsort(column, kind="stable")
+            sorted_values = column[order]
+            sorted_labels = y[order]
+            one_hot = np.zeros((n, self._num_classes), dtype=np.int64)
+            one_hot[np.arange(n), sorted_labels] = 1
+            left_counts = np.cumsum(one_hot, axis=0)
+            boundaries = np.flatnonzero(sorted_values[1:] != sorted_values[:-1])
+            if boundaries.size == 0:
+                continue
+            for b in boundaries:
+                left = left_counts[b]
+                right = parent_counts - left
+                n_left = b + 1
+                n_right = n - n_left
+                weighted = (
+                    n_left * _gini(left) + n_right * _gini(right)
+                ) / n
+                gain = parent_impurity - weighted
+                if gain > best_gain:
+                    best_gain = gain
+                    threshold = (sorted_values[b] + sorted_values[b + 1]) / 2.0
+                    best = (feature, float(threshold))
+        return best
+
+    def predict(self, features):
+        X = np.asarray(features, dtype=np.float64)
+        out = np.empty(X.shape[0], dtype=np.int64)
+        for i in range(X.shape[0]):
+            node = self._root
+            while not node.is_leaf:
+                node = node.left if X[i, node.feature] <= node.threshold else node.right
+            out[i] = node.prediction
+        return out
+
+
+def _tree_shape(node):
+    """Every node as (feature, threshold, prediction), preorder."""
+    if node.is_leaf:
+        return [(None, None, node.prediction)]
+    return (
+        [(node.feature, node.threshold, node.prediction)]
+        + _tree_shape(node.left)
+        + _tree_shape(node.right)
+    )
+
+
+@st.composite
+def _tree_inputs(draw):
+    """Small fits with the awkward shapes: tied values (a few distinct
+    values per column), constant columns, one-class labels, duplicated
+    columns (equal gains across features), and depth/size limits at their
+    edges."""
+    n = draw(st.integers(1, 40))
+    d = draw(st.integers(1, 4))
+    columns = []
+    for _ in range(d):
+        kind = draw(st.sampled_from(["constant", "ties", "floats", "copy"]))
+        if kind == "constant":
+            columns.append(np.full(n, draw(st.integers(-3, 3)), dtype=np.float64))
+        elif kind == "ties":
+            columns.append(np.array(
+                draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)),
+                dtype=np.float64,
+            ))
+        elif kind == "copy" and columns:
+            columns.append(columns[0].copy())
+        else:
+            columns.append(np.array(
+                draw(st.lists(
+                    st.floats(-1e3, 1e3, allow_nan=False, width=32),
+                    min_size=n, max_size=n,
+                )),
+                dtype=np.float64,
+            ))
+    num_classes = draw(st.integers(1, 6))
+    y = np.array(
+        draw(st.lists(st.integers(0, num_classes - 1), min_size=n, max_size=n)),
+        dtype=np.int64,
+    )
+    max_depth = draw(st.integers(1, 6))
+    min_samples_split = draw(st.integers(2, max(2, n + 1)))
+    return np.column_stack(columns), y, max_depth, min_samples_split
+
+
+class TestSplitSearchDifferential:
+    """The array split search picks exactly the loop's splits."""
+
+    @given(_tree_inputs())
+    @settings(max_examples=300, deadline=None)
+    def test_best_split_matches_loop(self, inputs):
+        X, y, _, _ = inputs
+        fast, loop = DecisionTreeClassifier(), _LoopTree()
+        fast._num_classes = loop._num_classes = int(y.max()) + 1
+        counts = np.bincount(y, minlength=fast._num_classes)
+        assert fast._best_split(X, y, counts) == loop._best_split(X, y, counts)
+
+    @given(_tree_inputs())
+    @settings(max_examples=200, deadline=None)
+    def test_fitted_tree_and_predictions_match_loop(self, inputs):
+        X, y, max_depth, min_samples_split = inputs
+        params = dict(max_depth=max_depth, min_samples_split=min_samples_split)
+        fast = DecisionTreeClassifier(**params).fit(X, y)
+        loop = _LoopTree(**params).fit(X, y)
+        assert _tree_shape(fast._root) == _tree_shape(loop._root)
+        probe = np.vstack([X, X + 0.5, X - 0.5])
+        assert np.array_equal(fast.predict(probe), loop.predict(probe))
+
+    def test_equal_gains_keep_the_first_feature(self):
+        X = np.array([[0.0, 0.0], [0.0, 0.0], [1.0, 1.0], [1.0, 1.0]])
+        y = np.array([0, 0, 1, 1])
+        model = DecisionTreeClassifier(min_samples_split=2).fit(X, y)
+        assert (model._root.feature, model._root.threshold) == (0, 0.5)
+
+    def test_equal_gains_keep_the_first_boundary(self):
+        # Splitting after either row 0 or row 2 of a 4-row, 2-class node
+        # gains the same; the first boundary wins.
+        X = np.array([[0.0], [1.0], [2.0], [3.0]])
+        y = np.array([0, 1, 1, 0])
+        model = DecisionTreeClassifier(min_samples_split=2, max_depth=1)
+        model.fit(X, y)
+        assert model._root.threshold == 0.5
+
+    def test_matches_loop_on_medium_sized_fit(self):
+        rng = np.random.default_rng(11)
+        X = np.column_stack([
+            rng.integers(0, 12, size=700),
+            rng.integers(0, 2, size=700),
+            rng.normal(size=700).round(1),
+        ]).astype(np.float64)
+        y = rng.integers(0, 10, size=700)
+        fast = DecisionTreeClassifier(max_depth=10, min_samples_split=5).fit(X, y)
+        loop = _LoopTree(max_depth=10, min_samples_split=5).fit(X, y)
+        assert _tree_shape(fast._root) == _tree_shape(loop._root)
+        assert np.array_equal(fast.predict(X), loop.predict(X))
 
 
 class TestBucketize:

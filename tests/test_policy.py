@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.policy import run_policy_experiment
+from repro.policy import PolicyOutcome, run_policy_experiment
 from repro.simulator.config import SimulationConfig
 
 
@@ -23,7 +23,41 @@ def outcomes():
     )
 
 
+#: The outcomes of the ``outcomes`` fixture as the per-week ``np.unique``
+#: loop computed them; the grouped distinct count must reproduce them
+#: exactly (floats compared with ``==``).
+PINNED_OUTCOMES = [
+    PolicyOutcome(
+        name="baseline",
+        median_pickup_seconds=10386.5,
+        p90_pickup_seconds=40682.3,
+        mean_weekly_active_workers=46.65714285714286,
+        top10_task_share=0.8268643509039802,
+        one_day_task_share=0.023423673526043656,
+    ),
+    PolicyOutcome(
+        name="bigger dedicated core",
+        median_pickup_seconds=10386.5,
+        p90_pickup_seconds=40682.3,
+        mean_weekly_active_workers=72.95714285714286,
+        top10_task_share=0.6917965090051011,
+        one_day_task_share=0.018244439046396225,
+    ),
+    PolicyOutcome(
+        name="more casual labor",
+        median_pickup_seconds=10386.5,
+        p90_pickup_seconds=40682.3,
+        mean_weekly_active_workers=45.82857142857143,
+        top10_task_share=0.7529149460387965,
+        one_day_task_share=0.03876184196828261,
+    ),
+]
+
+
 class TestPolicyExperiment:
+    def test_outcomes_pinned(self, outcomes):
+        assert outcomes == PINNED_OUTCOMES
+
     def test_baseline_included(self, outcomes):
         assert outcomes[0].name == "baseline"
         assert len(outcomes) == 3
