@@ -365,7 +365,14 @@ def test_perf_design_extraction(benchmark):
 
 
 def test_perf_design_extraction_naive(benchmark):
-    """Seed replica: parse and extract every document, one row at a time."""
+    """Seed replica: parse and extract every document, one row at a time,
+    and read its labels with a second parse."""
+    from repro.enrichment.design import extract_design_parameters
+    from repro.enrichment.labels import (
+        READING_COLUMNS,
+        read_labels_from_html,
+        reading_strings,
+    )
     from repro.html import extract_features
 
     corpus = _design_corpus()
@@ -380,6 +387,10 @@ def test_perf_design_extraction_naive(benchmark):
             "num_images": np.empty(len(batch_ids), dtype=np.int64),
             "num_input_fields": np.empty(len(batch_ids), dtype=np.int64),
             "has_instructions": np.empty(len(batch_ids), dtype=bool),
+            **{
+                name: np.empty(len(batch_ids), dtype=object)
+                for name in READING_COLUMNS
+            },
         }
         for i, batch_id in enumerate(batch_ids):
             features = extract_features(corpus[batch_id])
@@ -389,10 +400,16 @@ def test_perf_design_extraction_naive(benchmark):
             rows["num_images"][i] = features.num_images
             rows["num_input_fields"][i] = features.num_input_fields
             rows["has_instructions"][i] = features.has_instructions
+            reading = reading_strings(read_labels_from_html(corpus[batch_id]))
+            for name, value in zip(READING_COLUMNS, reading):
+                rows[name][i] = value
         return Table(rows, copy=False)
 
     table = benchmark(run)
-    assert table.num_rows == len(corpus)
+    fast = extract_design_parameters(corpus)
+    assert table.column_names == fast.column_names
+    for name in fast.column_names:
+        assert np.array_equal(table[name], fast[name]), name
 
 
 def test_perf_cluster_batches(benchmark):
@@ -634,6 +651,76 @@ def test_serve_overhead_under_3_percent():
         f"/metrics sustains only {1.0 / cost:.0f} req/s, below the "
         f"{_SERVE_METRICS_MIN_RPS:.0f} req/s floor"
     )
+
+
+def _disagreement_input() -> tuple[np.ndarray, DictColumn]:
+    """A released-like (item, response) log, shaped like the small preset's:
+    about 400k answers over 120k items, one to five answers per item, each
+    item answered from its own four of 3,000 responses.  The release orders
+    rows by instance id, in which items mostly ascend (99.3% of consecutive
+    rows at small), so rows run in item order with 1% displaced locally."""
+    rng = np.random.default_rng(11)
+    num_items = 120_000
+    per_item = rng.choice(
+        np.arange(1, 6), size=num_items, p=[0.06, 0.21, 0.25, 0.38, 0.10]
+    )
+    items = np.repeat(np.arange(num_items, dtype=np.int64), per_item)
+    n = len(items)
+    moved = rng.choice(n - 64, size=n // 100, replace=False)
+    partner = moved + rng.integers(1, 64, size=len(moved))
+    items[moved], items[partner] = items[partner], items[moved].copy()
+    codes = (items * 4 + rng.integers(0, 4, size=n)) % 3_000
+    uniques = np.array([f"r{i:04d}" for i in range(3_000)], dtype=object)
+    return items, DictColumn(codes, uniques)
+
+
+def test_perf_batch_metrics(benchmark):
+    """The per-item disagreement kernel of ``compute_batch_metrics``: rows
+    ordered by one stable sort of an int64 ``(item, response)`` key."""
+    from repro.enrichment.metrics import _pair_disagreement_by_item
+
+    items, responses = _disagreement_input()
+    ids, disagreement = benchmark(
+        lambda: _pair_disagreement_by_item(items, responses)
+    )
+    assert len(ids) == len(disagreement) == len(np.unique(items))
+
+
+def _lexsort_disagreement_by_item(item_id, response):
+    """Frozen two-key ``lexsort`` version of the disagreement kernel."""
+    codes = response.codes
+    order = np.lexsort((codes, item_id))
+    items_sorted = item_id[order]
+    codes_sorted = codes[order]
+    item_change = np.r_[True, items_sorted[1:] != items_sorted[:-1]]
+    item_starts = np.flatnonzero(item_change)
+    item_ends = np.r_[item_starts[1:], len(items_sorted)]
+    n_per_item = (item_ends - item_starts).astype(np.float64)
+    run_change = item_change | np.r_[True, codes_sorted[1:] != codes_sorted[:-1]]
+    run_starts = np.flatnonzero(run_change)
+    run_ends = np.r_[run_starts[1:], len(items_sorted)]
+    run_lengths = (run_ends - run_starts).astype(np.float64)
+    run_item_slot = np.searchsorted(item_starts, run_starts, side="right") - 1
+    same_pairs = np.zeros(len(item_starts))
+    np.add.at(same_pairs, run_item_slot, run_lengths * (run_lengths - 1.0))
+    total_pairs = n_per_item * (n_per_item - 1.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        disagreement = 1.0 - same_pairs / total_pairs
+    disagreement[total_pairs == 0] = np.nan
+    return items_sorted[item_starts], disagreement
+
+
+def test_perf_batch_metrics_naive(benchmark):
+    """Seed replica: the same kernel ordered by a two-key ``lexsort``."""
+    from repro.enrichment.metrics import _pair_disagreement_by_item
+
+    items, responses = _disagreement_input()
+    ids, disagreement = benchmark(
+        lambda: _lexsort_disagreement_by_item(items, responses)
+    )
+    fast_ids, fast = _pair_disagreement_by_item(items, responses)
+    assert np.array_equal(ids, fast_ids)
+    assert disagreement.tobytes() == fast.tobytes()
 
 
 def _tree_fit_data() -> tuple[np.ndarray, np.ndarray]:

@@ -62,6 +62,7 @@ GUARDED_SPEEDUPS = (
     "shard_sched_skewed",
     "service_read_cached",
     "decision_tree_fit",
+    "batch_metrics",
 )
 
 

@@ -26,6 +26,9 @@ Gates
 - ``src/repro/ml``: **>= 85%**, enforced always.  The CART split search
   scores every candidate boundary in one array pass; its differential
   tests pin it to the per-candidate loop it replaced.
+- ``src/repro/enrichment``: **>= 85%**, enforced always.  Clustering,
+  design extraction, metrics and labels produce every enriched byte; their
+  one-pass-per-interface paths are pinned to per-document references.
 - repo-wide ``src/repro``: **>= 80%**, enforced when the ``coverage``
   package (the engine behind ``pytest-cov``, declared in the ``dev``
   extra) is importable, and *visibly skipped* otherwise — measuring the
@@ -71,6 +74,7 @@ PACKAGE_GATES: dict[str, float] = {
     "html": 85.0,
     "cache": 85.0,
     "ml": 85.0,
+    "enrichment": 85.0,
 }
 MIN_REPO_PCT = 80.0
 
@@ -104,6 +108,10 @@ DEFAULT_TESTS = [
     "tests/test_batch_metrics.py",
     "tests/test_dict_strings.py",
     "tests/test_ml.py",
+    "tests/test_interface_pass.py",
+    "tests/test_enrichment.py",
+    "tests/test_service_parts.py",
+    "tests/test_groupby_kernels.py",
 ]
 
 

@@ -53,7 +53,7 @@ python -m pytest tests/ 2>&1 | tee "$OUT/test_output.txt" | tail -1
 echo "== 2/18 tests again with a live process pool (REPRO_WORKERS=2) =="
 REPRO_WORKERS=2 python -m pytest tests/ 2>&1 | tee "$OUT/test_workers2.txt" | tail -1
 
-echo "== 3/18 coverage gate (src/repro/{shard,tables,obs,parallel,service,html,cache} >= 85%) =="
+echo "== 3/18 coverage gate (src/repro/{shard,tables,obs,parallel,service,html,cache,ml,enrichment} >= 85%) =="
 python scripts/coverage_gate.py 2>&1 | tee "$OUT/coverage_gate.txt" | tail -2
 
 echo "== 4/18 substrate bench guard (fails on >25% regression vs BENCH_substrate.json) =="

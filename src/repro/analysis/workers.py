@@ -1,9 +1,10 @@
 """Worker-centric analyses (paper §5).
 
 Everything derives from the released instance log: a worker's source,
-country, per-instance times and trust scores.  Per-worker aggregates are
-computed once by :func:`worker_profiles` and reused by the §5.2/§5.3
-functions.
+country, per-instance times and trust scores (and, for relative task
+times, the enrichment's per-batch median durations).  Per-worker
+aggregates are computed once by :func:`worker_profiles` and reused by the
+§5.2/§5.3 functions.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.dataset.release import ReleasedDataset
+from repro.enrichment.pipeline import EnrichedDataset
 from repro.stats.descriptive import top_share
 from repro.stats.timeseries import DAY_SECONDS, distinct_by_bucket, week_index
 from repro.tables import Table, group_by
@@ -24,7 +26,9 @@ SECONDS_PER_HOUR = 3600.0
 # §5.1 Sources
 # --------------------------------------------------------------------- #
 
-def source_statistics(released: ReleasedDataset) -> Table:
+def source_statistics(
+    released: ReleasedDataset, enriched: EnrichedDataset
+) -> Table:
     """Per-source statistics (Figures 26a, 27).
 
     Columns: ``source``, ``num_workers``, ``num_tasks``,
@@ -32,21 +36,19 @@ def source_statistics(released: ReleasedDataset) -> Table:
 
     Relative task time normalizes each instance's duration by the median
     duration of its batch, so slow sources stand out regardless of task mix.
+    The batch medians are the enrichment's ``batch_table.task_time``: the
+    median of ``end - start`` over the batch's instances.
     """
     instances = released.instances
     duration = (instances["end_time"] - instances["start_time"]).astype(np.float64)
 
-    # Median duration per batch from the segment kernel (groups come out in
-    # sorted batch order), gathered back onto instances.
-    batch = instances["batch_id"]
-    per_batch = group_by(
-        Table({"batch_id": batch, "duration": duration}, copy=False),
-        "batch_id",
-    ).agg({"median": ("duration", "median")})
-    median_of_instance = per_batch["median"][
-        np.searchsorted(per_batch["batch_id"], batch)
-    ]
-    relative = duration / np.maximum(median_of_instance, 1e-9)
+    batch_table = enriched.batch_table
+    batch_ids = batch_table["batch_id"]
+    median_of_batch = np.full(int(batch_ids.max()) + 1, np.nan)
+    median_of_batch[batch_ids] = batch_table["task_time"]
+    relative = duration / np.maximum(
+        median_of_batch[instances["batch_id"]], 1e-9
+    )
 
     table = Table(
         {

@@ -10,7 +10,8 @@ to find candidate pairs → exact Jaccard verification at ``threshold`` →
 union-find to form clusters.
 
 Each document is processed once per template, not once per batch: the
-per-batch unit noise is stripped from every document once, and only the
+per-batch unit noise is stripped once per :func:`repro.html.interface_key`
+group where that is exact (:func:`_clean_by_interface`), and only the
 distinct cleaned texts (1,575 of 5,550 documents at medium) are tokenized
 and hashed; documents with the same cleaned text share one shingle array.
 Signatures, banding and verification likewise run once per distinct
@@ -36,6 +37,8 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro import obs
+from repro.html import InterfaceGroups, group_by_interface
+from repro.html.features import _ASCII_DIGITS, _ITEM_PREFIX
 from repro.parallel import map_chunks
 
 #: Exact-Jaccard verifications performed / merges accepted by union-find.
@@ -228,25 +231,38 @@ def _token_spans_ascii(
 def _crc32_spans(
     flat: np.ndarray, starts: np.ndarray, lengths: np.ndarray
 ) -> np.ndarray:
-    """CRC32 of many byte spans of ``flat``, one byte per iteration."""
+    """CRC32 of many byte spans of ``flat``, one byte per iteration.
+
+    Spans are ordered by length once, stably and longest first, so the
+    spans still live at byte ``j`` (those longer than ``j``) are a prefix
+    of that order and each step updates a slice, with no mask over every
+    span.
+    """
     n = len(starts)
     crc = np.full(n, 0xFFFFFFFF, dtype=np.uint32)
     if n:
-        for j in range(int(lengths.max())):
-            active = lengths > j
-            byte = flat[starts[active] + j].astype(np.uint32)
-            state = crc[active]
-            crc[active] = _CRC32_TABLE[(state ^ byte) & np.uint32(0xFF)] ^ (
+        order = np.argsort(-lengths, kind="stable")
+        pos = starts[order]
+        # live[j]: spans longer than j, i.e. n minus those of length <= j.
+        live = n - np.cumsum(np.bincount(lengths, minlength=1))
+        for j in range(int(lengths[order[0]])):
+            k = int(live[j])
+            state = crc[:k]
+            byte = flat[pos[:k] + j].astype(np.uint32)
+            crc[:k] = _CRC32_TABLE[(state ^ byte) & np.uint32(0xFF)] ^ (
                 state >> np.uint32(8)
             )
+        out = np.empty_like(crc)
+        out[order] = crc
+        crc = out
     return (crc ^ np.uint32(0xFFFFFFFF)).astype(np.uint64)
 
 
 def _clean(html: str) -> str:
     """``html`` with the unit noise stripped — the text that is shingled.
 
-    Not idempotent (``"uniunit-1t-2"`` cleans to ``"unit-2"``), so every
-    document is cleaned exactly once, before any grouping or tokenizing.
+    Not idempotent (``"uniunit-1t-2"`` cleans to ``"unit-2"``), so a
+    document is cleaned exactly once and a cleaned text never again.
     """
     # Both unit-noise alternatives contain the literal "unit"; the substring
     # probe skips the regex scan for the vast majority of documents.
@@ -563,15 +579,18 @@ _SHINGLE_DOC_CHUNK = 64
 
 
 def shingle_corpus(
-    html_by_batch: Mapping[int, str]
+    html_by_batch: Mapping[int, str], *, groups: InterfaceGroups | None = None
 ) -> tuple[list[int], list[np.ndarray]]:
     """Shingle every document, returning ``(sorted batch ids, arrays)``.
 
     Shingles are a pure function of a document's cleaned text, and batches
     of one task template differ only in the unit noise that cleaning
-    strips.  So every document is cleaned once, documents are grouped by
-    cleaned text, and each distinct text is tokenized and hashed once;
-    every document of a group shares that one (read-only) array.
+    strips.  So documents are cleaned once per interface
+    (:func:`_clean_by_interface`), grouped by cleaned text, and each
+    distinct text is tokenized and hashed once; every document of a group
+    shares that one (read-only) array.  ``groups`` passes in a
+    :func:`repro.html.group_by_interface` of ``html_by_batch`` computed
+    for other consumers too.
 
     The shingle phase is embarrassingly parallel per chunk of distinct
     texts, which makes it the piece a shard can precompute locally;
@@ -579,11 +598,13 @@ def shingle_corpus(
     ``REPRO_WORKERS`` processes (serial by default); the result is invariant
     to the worker count and the chunk size.
     """
-    batch_ids = sorted(html_by_batch)
+    if groups is None:
+        groups = group_by_interface(html_by_batch)
+    batch_ids = groups.batch_ids
     template_of: dict[str, int] = {}
     index = [
-        template_of.setdefault(_clean(html_by_batch[b]), len(template_of))
-        for b in batch_ids
+        template_of.setdefault(text, len(template_of))
+        for text in _clean_by_interface(html_by_batch, groups)
     ]
     templates = list(template_of)
     chunks = [
@@ -599,6 +620,77 @@ def shingle_corpus(
     _SHINGLE_DOCS.inc(len(batch_ids))
     _SHINGLE_TEMPLATES.inc(len(templates))
     return batch_ids, all_arrays
+
+
+def _clean_spans(html: str) -> tuple[str, list[tuple[int, int]]]:
+    """:func:`_clean` of ``html`` and the spans it deleted, in order."""
+    if "unit" not in html:
+        return html, []
+    spans = [m.span() for m in _UNIT_RE.finditer(html)]
+    pieces: list[str] = []
+    done = 0
+    for start, end in spans:
+        pieces.append(html[done:start])
+        done = end
+    pieces.append(html[done:])
+    return "".join(pieces), spans
+
+
+def _runs_deleted(html: str, spans: list[tuple[int, int]]) -> bool:
+    """Whether every ASCII digit run right after ``unit-`` in ``html`` (the
+    runs :func:`repro.html.interface_key` rewrites, the only characters in
+    which documents of one interface group differ) lies in one of the
+    deleted ``spans``."""
+    i = 0
+    pos = html.find(_ITEM_PREFIX)
+    while pos >= 0:
+        start = pos + len(_ITEM_PREFIX)
+        run = _ASCII_DIGITS.match(html, start)
+        if run is not None:
+            end = run.end()
+            # Spans are sorted and disjoint: only the first one ending at
+            # or after the run can hold it.
+            while i < len(spans) and spans[i][1] < end:
+                i += 1
+            if i == len(spans) or spans[i][0] > start:
+                return False
+        pos = html.find(_ITEM_PREFIX, start)
+    return True
+
+
+def _clean_by_interface(
+    html_by_batch: Mapping[int, str], groups: InterfaceGroups
+) -> list[str]:
+    """:func:`_clean` of every document (aligned with ``groups.batch_ids``),
+    running the regex once per interface group where that is exact.
+
+    Documents of one group differ only in the ASCII digits of the runs
+    :func:`repro.html.interface_key` rewrites, at the same positions.
+    Swapping a digit for a digit keeps every class ``_UNIT_RE`` tests (its
+    literals, ``[^"]``, ``\\d``, ``\\w``), so the regex deletes the same
+    spans from every member.  If every rewritten run lies inside a deleted
+    span, the members' cleaned texts are equal and the group shares its
+    representative's; otherwise (``unit-1.unit-2``: ``(\\.\\w+)?`` eats
+    ``.unit`` and ``-2`` survives) each member is cleaned on its own.
+    """
+    batch_ids = groups.batch_ids
+    cleaned: list[str] = [""] * len(batch_ids)
+    # Members of each group, first member first.
+    members = np.argsort(groups.index, kind="stable")
+    bounds = np.r_[0, np.cumsum(
+        np.bincount(groups.index, minlength=groups.num_groups)
+    )]
+    for group, first in enumerate(groups.first):
+        html = html_by_batch[batch_ids[first]]
+        text, spans = _clean_spans(html)
+        cleaned[first] = text
+        rest = members[bounds[group] + 1:bounds[group + 1]]
+        if not len(rest):
+            continue
+        shared = _runs_deleted(html, spans)
+        for i in rest:
+            cleaned[i] = text if shared else _clean(html_by_batch[batch_ids[i]])
+    return cleaned
 
 
 def cluster_batches(

@@ -15,11 +15,11 @@ reading with high probability).
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
-from repro.html import parse_html
+from repro.html import Element, parse_html
 from repro.htmlgen.render import _GOAL_PHRASES, _OPERATOR_PROMPTS
 from repro.tables import Table
 from repro.taxonomy.labels import DataType, Goal, Operator
@@ -35,16 +35,43 @@ LABEL_SEPARATOR = "+"
 #: One careful reading of an interface: its goals, operators and data types.
 Reading = tuple[list[Goal], list[Operator], list[DataType]]
 
+#: Tags whose elements can mark a data type (see :func:`_data_type_of`).
+DATA_TYPE_TAGS = frozenset({"blockquote", "img", "audio", "video", "iframe", "a"})
 
-def read_labels_from_html(html: str) -> Reading:
-    """A careful (error-free) reading of an interface's labels.
+#: Columns that carry a reading through the design table, ``+``-joined in
+#: reading order (:func:`reading_strings`, :func:`annotate_clusters`).
+READING_COLUMNS = ("reading_goals", "reading_operators", "reading_data_types")
 
-    Every generated interface announces its goal in the instructions, one
-    prompt per operator, and renders each data type with distinctive markup.
+
+def _data_type_of(element: Element) -> DataType | None:
+    """The data type an element's markup announces, if any."""
+    tag = element.tag
+    cls = element.attr("class")
+    if tag == "blockquote" and cls == "item-text":
+        return DataType.TEXT
+    if tag == "blockquote" and cls == "social-post":
+        return DataType.SOCIAL_MEDIA
+    if tag == "img" and "/items/" in element.attr("src"):
+        return DataType.IMAGE
+    if tag == "audio":
+        return DataType.AUDIO
+    if tag == "video":
+        return DataType.VIDEO
+    if tag == "iframe" and cls == "map":
+        return DataType.MAPS
+    if tag == "a" and "web.example.com" in element.attr("href"):
+        return DataType.WEBPAGE
+    return None
+
+
+def reading_of(text: str, elements: Iterable[Element]) -> Reading:
+    """The reading of an interface from its text and its elements.
+
+    ``text`` is the interface's text in document order and ``elements``
+    its elements in pre-order; elements whose tag is not in
+    :data:`DATA_TYPE_TAGS` never mark a data type, so they may be left
+    out.
     """
-    root = parse_html(html)
-    text = root.text_content()
-
     # Order labels by where they appear: interfaces state the primary goal
     # and primary operator first.
     goals = sorted(
@@ -55,33 +82,36 @@ def read_labels_from_html(html: str) -> Reading:
         (op for op, prompt in _OPERATOR_PROMPTS.items() if prompt in text),
         key=lambda op: text.index(_OPERATOR_PROMPTS[op]),
     )
-
-    data_types: list[DataType] = []
-    for element in root.iter_elements():
-        cls = element.attr("class")
-        if element.tag == "blockquote" and cls == "item-text":
-            data_types.append(DataType.TEXT)
-        elif element.tag == "blockquote" and cls == "social-post":
-            data_types.append(DataType.SOCIAL_MEDIA)
-        elif element.tag == "img" and "/items/" in element.attr("src"):
-            data_types.append(DataType.IMAGE)
-        elif element.tag == "audio":
-            data_types.append(DataType.AUDIO)
-        elif element.tag == "video":
-            data_types.append(DataType.VIDEO)
-        elif element.tag == "iframe" and cls == "map":
-            data_types.append(DataType.MAPS)
-        elif element.tag == "a" and "web.example.com" in element.attr("href"):
-            data_types.append(DataType.WEBPAGE)
     # Deduplicate preserving order.
-    seen: set[DataType] = set()
-    data_types = [d for d in data_types if not (d in seen or seen.add(d))]
+    data_types: list[DataType] = []
+    for element in elements:
+        data_type = _data_type_of(element)
+        if data_type is not None and data_type not in data_types:
+            data_types.append(data_type)
     return goals, operators, data_types
+
+
+def read_labels_from_html(html: str) -> Reading:
+    """A careful (error-free) reading of an interface's labels.
+
+    Every generated interface announces its goal in the instructions, one
+    prompt per operator, and renders each data type with distinctive markup.
+    The design pass takes the same reading from its own walk
+    (:func:`repro.enrichment.design.extract_design_parameters`).
+    """
+    root = parse_html(html)
+    return reading_of(root.text_content(), root.iter_elements())
+
+
+def reading_strings(reading: Reading) -> tuple[str, str, str]:
+    """A reading as its three ``+``-joined columns (:data:`READING_COLUMNS`)."""
+    goals, operators, data_types = reading
+    return _join(goals), _join(operators), _join(data_types)
 
 
 def _noisy_pass(
     rng: np.random.Generator,
-    truth: tuple[list[Goal], list[Operator], list[DataType]],
+    truth: Reading,
 ) -> tuple[tuple[Goal, ...], tuple[Operator, ...], tuple[DataType, ...]]:
     """One annotator's reading: occasionally confuses a category."""
     goals, operators, data_types = ([*t] for t in truth)
@@ -105,35 +135,45 @@ def split_labels(joined: str) -> list[str]:
 
 def annotate_clusters(
     cluster_of_batch: Mapping[int, int],
-    batch_html: Mapping[int, str],
+    readings: Table,
     rng: np.random.Generator,
-    readings: dict[int, Reading] | None = None,
 ) -> Table:
     """Label every cluster from its representative batch's interface.
+
+    ``readings`` holds ``batch_id`` in sorted order and the careful
+    reading of each batch's interface in :data:`READING_COLUMNS` (the
+    design table carries both); a cluster's representative is its
+    smallest batch id, and only the two annotator passes and the
+    resolution are drawn here.
 
     Returns one row per cluster: ``cluster_id``, ``goals``, ``operators``,
     ``data_types`` (multi-labels ``+``-joined), plus the primaries as
     separate columns.
-
-    ``readings`` optionally memoizes :func:`read_labels_from_html` per batch
-    id across calls: a representative already in it is not re-parsed, and
-    a new one is read and added.  A reading is a pure function of the
-    (immutable) document, so the RNG draws and the labels are identical
-    with or without the memo.
     """
     representative: dict[int, int] = {}
     for batch_id in sorted(cluster_of_batch):
         cluster = cluster_of_batch[batch_id]
         representative.setdefault(cluster, batch_id)
 
+    clusters = sorted(representative)
+    reps = np.array([representative[c] for c in clusters], dtype=np.int64)
+    rows_of = np.searchsorted(readings["batch_id"], reps)
+    if not np.array_equal(readings["batch_id"].take(rows_of, mode="clip"), reps):
+        raise KeyError("a cluster representative has no reading")
+    columns = [readings[name] for name in READING_COLUMNS]
+    # Interfaces share few distinct readings: decode each once.
+    decoded: dict[tuple[str, str, str], Reading] = {}
     rows = []
-    for cluster_id in sorted(representative):
-        batch_id = representative[cluster_id]
-        truth = None if readings is None else readings.get(batch_id)
+    for cluster_id, row in zip(clusters, rows_of):
+        strings = tuple(column[row] for column in columns)
+        truth = decoded.get(strings)
         if truth is None:
-            truth = read_labels_from_html(batch_html[batch_id])
-            if readings is not None:
-                readings[batch_id] = truth
+            goals, operators, data_types = strings
+            truth = decoded[strings] = (
+                [Goal(v) for v in split_labels(goals)],
+                [Operator(v) for v in split_labels(operators)],
+                [DataType(v) for v in split_labels(data_types)],
+            )
         first = _noisy_pass(rng, truth)
         second = _noisy_pass(rng, truth)
         if first == second:

@@ -21,6 +21,9 @@ import numpy as np
 from repro.dataset.release import ReleasedDataset
 from repro.tables import DictColumn, Table, dict_encode, group_by
 
+_INT64_MAX = np.iinfo(np.int64).max
+_INT64_MIN = np.iinfo(np.int64).min
+
 
 def _pair_disagreement_by_item(
     item_id: np.ndarray, response: np.ndarray | DictColumn
@@ -30,9 +33,23 @@ def _pair_disagreement_by_item(
     Responses compare by dictionary code, equal exactly where the strings
     are; an object array is dictionary-encoded first.  Items with fewer
     than two answers get NaN.
+
+    Rows are ordered by (item, code) through one stable sort of the int64
+    key ``item * (max code + 1) + code``, the order a two-key ``lexsort``
+    gives.  Raises ``OverflowError`` if the key could leave int64.
     """
     response_codes = dict_encode(response).codes
-    order = np.lexsort((response_codes, item_id))
+    width = int(response_codes.max()) + 1
+    low, high = int(item_id.min()), int(item_id.max())
+    if high > (_INT64_MAX - (width - 1)) // width or low < _INT64_MIN // width:
+        raise OverflowError(
+            f"(item, response) key needs item ids in [{low}, {high}] x "
+            f"{width} response codes, beyond the int64 bounds"
+        )
+    key = item_id.astype(np.int64) * width
+    key += response_codes
+    order = np.argsort(key, kind="stable")
+    del key
     items_sorted = item_id[order]
     codes_sorted = response_codes[order]
 
@@ -47,8 +64,9 @@ def _pair_disagreement_by_item(
     run_starts = np.flatnonzero(run_change)
     run_ends = np.r_[run_starts[1:], len(items_sorted)]
     run_lengths = (run_ends - run_starts).astype(np.float64)
-    # Sum c*(c-1) per item: map each run to its item slot.
-    run_item_slot = np.searchsorted(item_starts, run_starts, side="right") - 1
+    # Sum c*(c-1) per item: map each run to its item slot (the number of
+    # item starts up to the run's start, less one).
+    run_item_slot = np.cumsum(item_change)[run_starts] - 1
     same_pairs = np.zeros(len(item_starts))
     np.add.at(same_pairs, run_item_slot, run_lengths * (run_lengths - 1.0))
 

@@ -16,7 +16,7 @@ The output :class:`EnrichedDataset` is what every §3–§5 analysis consumes:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -28,8 +28,9 @@ from repro.enrichment.clustering import (
     shingle_corpus,
 )
 from repro.enrichment.design import extract_design_parameters
-from repro.enrichment.labels import Reading, annotate_clusters
+from repro.enrichment.labels import READING_COLUMNS, annotate_clusters
 from repro.enrichment.metrics import compute_batch_metrics
+from repro.html import group_by_interface
 from repro.simulator.config import SimulationConfig
 from repro.simulator.rng import StreamFactory
 from repro.tables import Table, col, concat_tables, hash_join
@@ -49,29 +50,25 @@ class EnrichedDataset:
         return self.cluster_table.num_rows
 
 
-def _nanmedian(segment: np.ndarray) -> float:
-    values = segment[~np.isnan(segment)]
-    if values.size == 0:
-        return float("nan")
-    return float(np.median(values))
-
-
 def enrich_dataset(
     released: ReleasedDataset, config: SimulationConfig
 ) -> EnrichedDataset:
     """Run the full §2.4 enrichment pipeline on a released dataset."""
-    with obs.span("enrichment", batches=len(released.batch_html)) as sp:
+    html = released.batch_html
+    with obs.span("enrichment", batches=len(html)) as sp:
         with obs.span("enrichment.design"):
-            design = extract_design_parameters(released.batch_html)
+            # One interface grouping for the design pass and the shingles.
+            groups = group_by_interface(html)
+            design = extract_design_parameters(html, groups=groups)
         with obs.span("enrichment.metrics"):
             metrics = compute_batch_metrics(released)
         # Shingled last, so the arrays are not held through the metrics
         # pass's transients.
         with obs.span("enrichment.clustering", phase="shingle"):
-            batch_ids, arrays = shingle_corpus(released.batch_html)
+            batch_ids, arrays = shingle_corpus(html, groups=groups)
         enriched = enrich_from_parts(
-            released.batch_catalog, released.batch_html, config,
-            batch_ids, arrays, design, metrics,
+            released.batch_catalog, config, batch_ids, arrays, design,
+            metrics,
         )
         sp.set("clusters", enriched.cluster_table.num_rows)
     return enriched
@@ -83,7 +80,6 @@ def _by_batch(table: Table) -> Table:
 
 def enrich_from_parts(
     batch_catalog: Table,
-    batch_html: Mapping[int, str],
     config: SimulationConfig,
     shingle_ids: Sequence[int],
     shingle_arrays: Sequence[np.ndarray],
@@ -91,7 +87,6 @@ def enrich_from_parts(
     metrics: Table,
     *,
     signatures: np.ndarray | None = None,
-    readings: dict[int, Reading] | None = None,
     cluster_span: str = "enrichment.clustering",
 ) -> EnrichedDataset:
     """Cluster and assemble from per-batch parts given in any order.
@@ -104,10 +99,10 @@ def enrich_from_parts(
     ``cluster_span``), and the tables are assembled as in
     :func:`assemble_enrichment` — so equal parts give equal bytes whatever
     produced them.  ``signatures`` (minhash rows aligned with
-    ``shingle_arrays``) and ``readings`` (a label-reading memo) only skip
-    recomputation.  Only the catalog and the HTML are read from the
-    released layer; the instance log reaches the result through
-    ``metrics``.
+    ``shingle_arrays``) only skip recomputation.  Only the catalog is read
+    from the released layer: the HTML reaches the result through the
+    shingles and the design table (which carries each interface's label
+    reading), the instance log through ``metrics``.
     """
     ids = np.asarray(shingle_ids, dtype=np.int64)
     order = np.argsort(ids, kind="stable")
@@ -118,8 +113,8 @@ def enrich_from_parts(
             signatures=None if signatures is None else signatures[order],
         )
     return _assemble(
-        batch_catalog, batch_html, config, cluster_of_batch,
-        _by_batch(design), _by_batch(metrics), readings,
+        batch_catalog, config, cluster_of_batch, _by_batch(design),
+        _by_batch(metrics),
     )
 
 
@@ -132,24 +127,24 @@ def assemble_enrichment(
 ) -> EnrichedDataset:
     """Assemble the batch/cluster tables from a computed partition.
 
-    ``design`` and ``metrics`` must be sorted by ``batch_id``.  The tail of
+    ``design`` (as :func:`extract_design_parameters` returns it) and
+    ``metrics`` must be sorted by ``batch_id``.  The tail of
     :func:`enrich_from_parts`, for callers that cluster on their own.
     """
     return _assemble(
-        released.batch_catalog, released.batch_html, config,
-        cluster_of_batch, design, metrics, None,
+        released.batch_catalog, config, cluster_of_batch, design, metrics,
     )
 
 
 def _assemble(
     batch_catalog: Table,
-    batch_html: Mapping[int, str],
     config: SimulationConfig,
     cluster_of_batch: dict[int, int],
     design: Table,
     metrics: Table,
-    readings: dict[int, Reading] | None,
 ) -> EnrichedDataset:
+    readings = design.select(["batch_id", *READING_COLUMNS])
+    design = design.drop(READING_COLUMNS)
     with obs.span("enrichment.cluster_table"):
         catalog = batch_catalog.select(["batch_id", "created_at"])
         batch_table = (
@@ -179,9 +174,9 @@ def _assemble(
                     "num_examples": ("num_examples", "median"),
                     "num_images": ("num_images", "median"),
                     "num_items": ("num_items", "median"),
-                    "disagreement": ("disagreement", _nanmedian),
-                    "task_time": ("task_time", _nanmedian),
-                    "pickup_time": ("pickup_time", _nanmedian),
+                    "disagreement": ("disagreement", "nanmedian"),
+                    "task_time": ("task_time", "nanmedian"),
+                    "pickup_time": ("pickup_time", "nanmedian"),
                     "first_time": ("created_at", "min"),
                 }
             )
@@ -190,9 +185,7 @@ def _assemble(
 
     with obs.span("enrichment.labels"):
         label_rng = StreamFactory(config.seed).stream("labels")
-        labels = annotate_clusters(
-            cluster_of_batch, batch_html, label_rng, readings
-        )
+        labels = annotate_clusters(cluster_of_batch, readings, label_rng)
         cluster_table = hash_join(
             cluster_table, labels, on="cluster_id", how="left"
         )
@@ -212,9 +205,9 @@ class EnrichmentParts:
     but the cluster partition is a function of one batch alone:
 
     - per document (keyed by ``batch_id``; a document never changes once
-      ingested): its shingle array and minhash signature, its design row,
-      and its label reading — computed once, when the document is first
-      seen;
+      ingested): its shingle array and minhash signature, and its design
+      row, which carries its label reading — computed once, when the
+      document is first seen;
     - per batch: its metrics row, a function of the batch's own instance
       rows and its own catalog ``created_at`` (item ids are batch-scoped,
       as the release guarantees; the sharded build's ``batch_id % K`` cut
@@ -233,7 +226,6 @@ class EnrichmentParts:
         self._signatures: dict[int, np.ndarray] = {}
         self._design: Table | None = None
         self._metrics: Table | None = None
-        self._readings: dict[int, Reading] = {}
 
     def enrich(
         self,
@@ -252,9 +244,12 @@ class EnrichmentParts:
         new_html = {b: doc for b, doc in html.items() if b not in self._shingles}
         with obs.span("enrichment", batches=len(html)) as sp:
             with obs.span("enrichment.design", docs=len(new_html)):
+                # One interface grouping for the design pass and the
+                # shingles of the new documents.
+                groups = group_by_interface(new_html)
                 design = self._design
                 if new_html:
-                    fresh = extract_design_parameters(new_html)
+                    fresh = extract_design_parameters(new_html, groups=groups)
                     design = fresh if design is None else _by_batch(
                         concat_tables([design, fresh])
                     )
@@ -263,16 +258,15 @@ class EnrichmentParts:
             with obs.span(
                 "enrichment.clustering", phase="shingle", docs=len(new_html)
             ):
-                new_ids, new_arrays = shingle_corpus(new_html)
+                new_ids, new_arrays = shingle_corpus(new_html, groups=groups)
                 new_sigs = distinct_signatures(new_arrays)
             shingles = {**self._shingles, **dict(zip(new_ids, new_arrays))}
             signatures = {**self._signatures, **dict(zip(new_ids, new_sigs))}
             batch_ids = sorted(html)
             enriched = enrich_from_parts(
-                released.batch_catalog, html, config,
-                batch_ids, [shingles[b] for b in batch_ids], design, metrics,
+                released.batch_catalog, config, batch_ids,
+                [shingles[b] for b in batch_ids], design, metrics,
                 signatures=np.stack([signatures[b] for b in batch_ids]),
-                readings=self._readings,
             )
             sp.set("clusters", enriched.cluster_table.num_rows)
         self._shingles = shingles

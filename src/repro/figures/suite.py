@@ -69,7 +69,9 @@ class FigureSuite:
 
     def source_stats(self) -> Table:
         if self._source_stats is None:
-            self._source_stats = wk.source_statistics(self.released)
+            self._source_stats = wk.source_statistics(
+                self.released, self.enriched
+            )
         return self._source_stats
 
     def arrivals(self) -> mkt.ArrivalSeries:

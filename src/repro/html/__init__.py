@@ -9,17 +9,23 @@ this environment.
 
 from repro.html.features import (
     InterfaceFeatures,
+    InterfaceGroups,
     extract_features,
+    group_by_interface,
     interface_key,
+    scan_interface,
 )
 from repro.html.parser import Element, TextNode, parse_html, tokenize
 
 __all__ = [
     "Element",
     "InterfaceFeatures",
+    "InterfaceGroups",
     "TextNode",
     "extract_features",
+    "group_by_interface",
     "interface_key",
     "parse_html",
+    "scan_interface",
     "tokenize",
 ]

@@ -25,17 +25,22 @@ The features mirror the paper's definitions:
     ``<h1>–<h6>`` heading announcing instructions.
 
 :func:`extract_features` reads all of them in one pre-order walk of the
-parsed tree, visiting each element and each text node once.
-:func:`interface_key` maps documents that differ only in their sample-item
-token to one key, so features can be extracted once per key.
+parsed tree, visiting each element and each text node once;
+:func:`scan_interface` is the same walk, also returning what a label
+reading needs.  :func:`interface_key` maps documents that differ only in
+their sample-item token to one key, and :func:`group_by_interface` groups a
+corpus by it, so each interface's work runs once per key.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from typing import Mapping
 
-from repro.html.parser import Element, parse_html
+import numpy as np
+
+from repro.html.parser import Element, TextNode, parse_html
 
 _EXAMPLE_RE = re.compile(r"^examples?(\s+\d+)?\s*:?\s*$", re.IGNORECASE)
 _INSTRUCTIONS_RE = re.compile(r"instruction", re.IGNORECASE)
@@ -97,13 +102,28 @@ def _announces_instructions(element: Element, own: str) -> bool:
 
 
 def extract_features(html: str | Element) -> InterfaceFeatures:
-    """Extract :class:`InterfaceFeatures` from HTML source or a parsed tree.
+    """Extract :class:`InterfaceFeatures` from HTML source or a parsed tree."""
+    return scan_interface(html)[0]
 
-    One iterative pre-order walk computes every feature.  Each stack entry
-    carries whether its element is rendered (no ``script``/``style``/
-    ``head``/``title`` on the path from the root), and words are counted
-    per rendered text node: ``str.split`` and ``\\S+`` agree on whitespace,
-    and rendered text joins nodes with a space, so no word spans two nodes.
+
+def scan_interface(
+    html: str | Element, marker_tags: frozenset[str] = frozenset()
+) -> tuple[InterfaceFeatures, str, list[Element]]:
+    """One walk of an interface: its features, its text, its marked elements.
+
+    Returns the :class:`InterfaceFeatures`, the text of every text node in
+    document order (``root.text_content()``), and the elements whose tag is
+    in ``marker_tags`` in pre-order (as ``root.iter_elements()`` meets
+    them).  This is everything a label reading looks at
+    (:mod:`repro.enrichment.design`), so one parse serves both.
+
+    One iterative pre-order walk visits each element and each text node
+    once.  Each stack entry carries whether its element is rendered (no
+    ``script``/``style``/``head``/``title`` on the path from the root);
+    text nodes ride the same stack (marked ``None``), so they pop in
+    document order.  Words are counted per rendered text node:
+    ``str.split`` and ``\\S+`` agree on whitespace, and rendered text joins
+    nodes with a space, so no word spans two nodes.
     """
     root = parse_html(html) if isinstance(html, str) else html
 
@@ -115,13 +135,20 @@ def extract_features(html: str | Element) -> InterfaceFeatures:
     num_images = 0
     num_examples = 0
     has_instructions = False
+    texts: list[str] = []
+    marked: list[Element] = []
 
-    stack: list[tuple[Element, bool]] = [
+    stack: list[tuple[Element | TextNode, bool | None]] = [
         (root, root.tag not in _NON_RENDERED_TAGS)
     ]
     while stack:
         element, rendered = stack.pop()
+        if rendered is None:
+            texts.append(element.text)
+            continue
         tag = element.tag
+        if tag in marker_tags:
+            marked.append(element)
         if tag == "textarea":
             num_text_boxes += 1
         elif tag == "input":
@@ -138,12 +165,15 @@ def extract_features(html: str | Element) -> InterfaceFeatures:
             num_images += 1
 
         own_parts: list[str] = []
-        child_elements: list[Element] = []
+        children: list[tuple[Element | TextNode, bool | None]] = []
         for child in element.children:
             if isinstance(child, Element):
-                child_elements.append(child)
+                children.append(
+                    (child, rendered and child.tag not in _NON_RENDERED_TAGS)
+                )
             else:
                 own_parts.append(child.text)
+                children.append((child, None))
                 if rendered:
                     num_words += len(child.text.split())
         own = "".join(own_parts)
@@ -151,12 +181,10 @@ def extract_features(html: str | Element) -> InterfaceFeatures:
             num_examples += 1
         if not has_instructions and _announces_instructions(element, own):
             has_instructions = True
-        for child in reversed(child_elements):
-            stack.append(
-                (child, rendered and child.tag not in _NON_RENDERED_TAGS)
-            )
+        children.reverse()
+        stack.extend(children)
 
-    return InterfaceFeatures(
+    features = InterfaceFeatures(
         num_words=num_words,
         num_text_boxes=num_text_boxes,
         num_examples=num_examples,
@@ -167,6 +195,7 @@ def extract_features(html: str | Element) -> InterfaceFeatures:
         num_input_fields=num_text_boxes + num_radio + num_checkbox + num_select,
         has_instructions=has_instructions,
     )
+    return features, "".join(texts), marked
 
 
 def interface_key(html: str) -> str:
@@ -234,3 +263,47 @@ def interface_key(html: str) -> str:
         return html
     pieces.append(html[done:])
     return "".join(pieces)
+
+
+@dataclass(frozen=True)
+class InterfaceGroups:
+    """A corpus grouped by :func:`interface_key`.
+
+    ``batch_ids`` are sorted; ``index[i]`` is the group of
+    ``batch_ids[i]``, and ``first[g]`` the position of group ``g``'s first
+    document, its representative.  Groups are numbered by first
+    appearance.
+    """
+
+    batch_ids: list[int]
+    index: np.ndarray
+    first: list[int]
+
+    @property
+    def num_groups(self) -> int:
+        return len(self.first)
+
+    def representatives(self, html_by_batch: Mapping[int, str]) -> list[str]:
+        """Each group's first document, in group order."""
+        return [html_by_batch[self.batch_ids[i]] for i in self.first]
+
+
+def group_by_interface(html_by_batch: Mapping[int, str]) -> InterfaceGroups:
+    """Group documents by :func:`interface_key`, one key pass per document.
+
+    The one grouping that design extraction, label reading and shingle
+    cleaning share (see :func:`repro.enrichment.design.extract_design_parameters`
+    and :func:`repro.enrichment.clustering.shingle_corpus`).
+    """
+    batch_ids = sorted(html_by_batch)
+    group_of: dict[str, int] = {}
+    first: list[int] = []
+    index = np.empty(len(batch_ids), dtype=np.int64)
+    for i, batch_id in enumerate(batch_ids):
+        group = group_of.setdefault(
+            interface_key(html_by_batch[batch_id]), len(group_of)
+        )
+        if group == len(first):
+            first.append(i)
+        index[i] = group
+    return InterfaceGroups(batch_ids=batch_ids, index=index, first=first)

@@ -67,6 +67,7 @@ def build_shard_partial(
     from repro.enrichment.clustering import shingle_corpus
     from repro.enrichment.design import extract_design_parameters
     from repro.enrichment.metrics import compute_batch_metrics
+    from repro.html import group_by_interface
     from repro.obs import sampler
     from repro.simulator.engine import simulate_marketplace
 
@@ -84,9 +85,13 @@ def build_shard_partial(
         )
         catalog = released.batch_catalog if shard == 0 else None
         del state  # free the ground-truth world before enrichment parts
-        design = extract_design_parameters(released.batch_html)
+        # One interface grouping for the design pass and the shingles.
+        groups = group_by_interface(released.batch_html)
+        design = extract_design_parameters(released.batch_html, groups=groups)
         metrics = compute_batch_metrics(released)
-        shingle_ids, shingle_arrays = shingle_corpus(released.batch_html)
+        shingle_ids, shingle_arrays = shingle_corpus(
+            released.batch_html, groups=groups
+        )
         sp.set("instances", released.instances.num_rows)
     sampler.note_interval(
         os.getpid(), t0, time.perf_counter(), f"shard {shard}"
@@ -289,10 +294,10 @@ def merge_partials(
     ]
     for partial in partials:
         partial.shingle_arrays = []
-    # The assembly reads only the catalog and the HTML, so it runs before
-    # the instance merge and the shingle pool is freed first.
+    # The assembly reads only the catalog, so it runs before the instance
+    # merge and the shingle pool is freed first.
     enriched = enrich_from_parts(
-        catalog, batch_html, config, shingle_ids, shingle_arrays,
+        catalog, config, shingle_ids, shingle_arrays,
         concat_tables([p.design for p in partials]),
         concat_tables([p.metrics for p in partials]),
         cluster_span="shard.merge.cluster",

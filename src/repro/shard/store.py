@@ -42,7 +42,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Bump when the shard-partial layout changes incompatibly.
 #: v2: dictionary columns spilled as canonical codes plus uniques.
-SHARD_SCHEMA_VERSION = 2
+#: v3: the design table carries the label reading columns.
+SHARD_SCHEMA_VERSION = 3
 
 _SPILLS = obs.counter("shard.spilled")
 _LOAD_HITS = obs.counter("shard.load_hit")

@@ -68,8 +68,11 @@ class Study:
         The simulation configuration (scale preset + seed) that produced it.
     state:
         Full simulator ground truth (includes latent variables the analyses
-        must not peek at; exposed for tests and ablations).  On a warm-cache
-        build this is simulated lazily on first access.
+        must not peek at; exposed for tests and ablations).  The same object
+        as ``figures.state``.  On a warm-cache or sharded build it is a
+        stand-in that simulates on the first access of ``study.state`` (or
+        of any ground-truth attribute) and forwards every attribute to the
+        simulated world.
     released:
         The "released dataset" — what the paper's authors actually received
         from the marketplace (sampled batches, instance metadata, HTML).
@@ -97,7 +100,9 @@ class Study:
     @property
     def state(self) -> "MarketplaceState":
         if isinstance(self._state, _LazyState):
-            return self._state.materialize()
+            # Simulate now, but hand out the stand-in the figure suite
+            # holds, so both resolve to one object.
+            self._state.materialize()
         return self._state
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

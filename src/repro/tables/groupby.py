@@ -3,16 +3,17 @@
 The implementation factorizes each key column into dense codes, combines the
 codes into a single group id, sorts row indices by group id, and then applies
 segment-wise reductions.  Cheap reductions (count/sum/min/max) use
-``numpy.*.reduceat``; order statistics (``median``, ``p<NN>``) sort values
-within their group segments once and then index the k-th order statistic of
-every segment with pure array arithmetic; ``std`` centers per group and
+``numpy.*.reduceat``; order statistics (``median``, ``nanmedian``,
+``p<NN>``) sort values within their group segments once and then index the
+k-th order statistic of every segment with pure array arithmetic; ``std``
+centers per group and
 reduces sum-of-squares with ``reduceat``; ``nunique`` sorts one int64
 ``(group, value code)`` key and counts its changes per group.  No
 aggregation loops over groups except ``collect`` and user callables.
 
 Order statistics are bit-identical to ``np.median``/``np.percentile`` on
-each segment (including NaN propagation); ``std`` matches ``ndarray.std``
-up to floating-point summation order.
+each segment (including NaN propagation; ``nanmedian`` skips NaN instead);
+``std`` matches ``ndarray.std`` up to floating-point summation order.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from repro.tables.table import SchemaError, Table
 
 #: Aggregations supported by :meth:`GroupedTable.agg`, mapping name to a
 #: function of the (already grouped and ordered) value segments.
-_SIMPLE_AGGS = ("count", "sum", "mean", "min", "max", "median", "std",
-                "nunique", "first", "last", "collect")
+_SIMPLE_AGGS = ("count", "sum", "mean", "min", "max", "median",
+                "nanmedian", "std", "nunique", "first", "last", "collect")
 
 _INT64_MAX = np.iinfo(np.int64).max
 
@@ -179,6 +180,35 @@ class GroupedTable:
         out[self._segment_has_nan(vals)] = np.nan
         return out
 
+    def _group_nanmedian(
+        self, sorted_vals: np.ndarray, counts: np.ndarray
+    ) -> np.ndarray:
+        """Per-group median of the non-NaN values, NaN for a group without
+        one: bit-identical to ``np.median(seg[~np.isnan(seg)])``.
+
+        NaN sorts last in each segment, so the valid values are the
+        segment's prefix and the middle is indexed within it.
+        ``np.median`` averages the middle with ``np.mean``, whose sum adds
+        ``+0.0`` (a lone ``-0.0`` reads ``0.0``); adding ``0.0`` reproduces
+        that.  An odd count takes its middle value itself, so ``x + x``
+        cannot overflow where ``np.median`` returns ``x``.
+        """
+        vals = sorted_vals.astype(np.float64, copy=False)
+        if self.num_groups == 0:
+            return np.empty(0, dtype=np.float64)
+        valid = counts - np.add.reduceat(
+            np.isnan(vals), self._starts, dtype=np.int64
+        )
+        lo = self._starts + np.maximum(valid - 1, 0) // 2
+        hi = self._starts + valid // 2
+        out = vals[lo] + vals[hi]
+        out += 0.0
+        out *= 0.5
+        odd = (valid % 2).astype(bool)
+        out[odd] = vals[lo[odd]] + 0.0
+        out[valid == 0] = np.nan
+        return out
+
     def _group_std(self, ordered: np.ndarray, counts: np.ndarray) -> np.ndarray:
         """Per-group population std via centered reduceat sum-of-squares."""
         if self.num_groups == 0:
@@ -247,9 +277,9 @@ class GroupedTable:
         """Aggregate into one row per group.
 
         ``spec`` maps *output* column names to ``(input_column, agg)`` where
-        ``agg`` is one of ``count, sum, mean, median, std, min, max, nunique,
-        first, last, collect, p<NN>`` (e.g. ``"p90"``) or a callable taking a
-        numpy array segment and returning a scalar.
+        ``agg`` is one of ``count, sum, mean, median, nanmedian, std, min,
+        max, nunique, first, last, collect, p<NN>`` (e.g. ``"p90"``) or a
+        callable taking a numpy array segment and returning a scalar.
 
         Example::
 
@@ -342,6 +372,10 @@ class GroupedTable:
                 out[out_name] = np.maximum.reduceat(ordered, self._starts)
             elif how == "median":
                 out[out_name] = self._group_median(
+                    sorted_in_groups(in_name, ordered), counts
+                )
+            elif how == "nanmedian":
+                out[out_name] = self._group_nanmedian(
                     sorted_in_groups(in_name, ordered), counts
                 )
             elif how == "std":

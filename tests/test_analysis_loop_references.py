@@ -6,7 +6,9 @@ with one ``np.unique`` per worker or per week.  They now run grouped
 kernels (``group_by(...).agg`` with ``nunique``, ``min``/``max`` and
 integer-second sums).  The loops are copied here verbatim and every output
 array must be equal element for element, floats included, on the tiny and
-small studies.
+small studies.  ``source_statistics`` once recomputed the per-batch median
+durations from the instance log; it now reads ``batch_table.task_time``,
+and the two must agree on every instance.
 """
 
 from __future__ import annotations
@@ -207,3 +209,54 @@ def test_engagement_split_before_the_first_instance_is_zero(loop_study):
     for series in (split.tasks_top10, split.tasks_bottom90,
                    split.active_time_top10, split.active_time_bottom90):
         assert np.array_equal(series, np.zeros(num_weeks))
+
+
+def _recomputed_batch_medians(released):
+    """The per-instance batch median ``source_statistics`` once computed."""
+    from repro.tables import Table, group_by
+
+    instances = released.instances
+    duration = (instances["end_time"] - instances["start_time"]).astype(
+        np.float64
+    )
+    batch = instances["batch_id"]
+    per_batch = group_by(
+        Table({"batch_id": batch, "duration": duration}, copy=False),
+        "batch_id",
+    ).agg({"median": ("duration", "median")})
+    return per_batch["median"][np.searchsorted(per_batch["batch_id"], batch)]
+
+
+def test_batch_table_holds_the_batch_medians(loop_study):
+    released, enriched = loop_study.released, loop_study.enriched
+    batch_table = enriched.batch_table
+    lookup = np.full(int(batch_table["batch_id"].max()) + 1, np.nan)
+    lookup[batch_table["batch_id"]] = batch_table["task_time"]
+    got = lookup[released.instances["batch_id"]]
+    expected = _recomputed_batch_medians(released)
+    assert got.dtype == expected.dtype
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_source_statistics_match_recomputed_medians(loop_study):
+    released = loop_study.released
+    instances = released.instances
+    duration = (instances["end_time"] - instances["start_time"]).astype(
+        np.float64
+    )
+    relative = duration / np.maximum(_recomputed_batch_medians(released), 1e-9)
+    from repro.tables import Table, group_by
+
+    expected = group_by(
+        Table(
+            {"source": instances.column("source"), "relative_time": relative},
+            copy=False,
+        ),
+        "source",
+    ).agg({"mean_relative_task_time": ("relative_time", "mean")})
+    stats = wk.source_statistics(released, loop_study.enriched)
+    assert np.array_equal(stats["source"], expected["source"])
+    assert (
+        stats["mean_relative_task_time"].tobytes()
+        == expected["mean_relative_task_time"].tobytes()
+    )

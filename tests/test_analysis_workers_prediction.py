@@ -9,8 +9,8 @@ from repro.analysis import workers as wk
 
 class TestSourceStatistics:
     @pytest.fixture(scope="class")
-    def stats(self, released):
-        return wk.source_statistics(released)
+    def stats(self, released, enriched):
+        return wk.source_statistics(released, enriched)
 
     def test_counts_conserve(self, stats, released):
         assert stats["num_tasks"].sum() == released.instances.num_rows

@@ -11,11 +11,15 @@ from __future__ import annotations
 from types import SimpleNamespace
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.enrichment.metrics import compute_batch_metrics
-from repro.tables import Table
+from repro.enrichment.metrics import (
+    _pair_disagreement_by_item,
+    compute_batch_metrics,
+)
+from repro.tables import Table, dict_encode
 
 
 def _reference_per_batch(released):
@@ -137,3 +141,66 @@ class TestBatchMetricsKernels:
 
     def test_tiny_study(self, released):
         _assert_matches(released)
+
+
+def _lexsort_disagreement(item_id, response):
+    """The two-key ``lexsort`` version of ``_pair_disagreement_by_item``."""
+    codes = dict_encode(response).codes
+    order = np.lexsort((codes, item_id))
+    items_sorted = item_id[order]
+    codes_sorted = codes[order]
+    item_change = np.r_[True, items_sorted[1:] != items_sorted[:-1]]
+    item_starts = np.flatnonzero(item_change)
+    item_ends = np.r_[item_starts[1:], len(items_sorted)]
+    n_per_item = (item_ends - item_starts).astype(np.float64)
+    run_change = item_change | np.r_[True, codes_sorted[1:] != codes_sorted[:-1]]
+    run_starts = np.flatnonzero(run_change)
+    run_ends = np.r_[run_starts[1:], len(items_sorted)]
+    run_lengths = (run_ends - run_starts).astype(np.float64)
+    run_item_slot = np.searchsorted(item_starts, run_starts, side="right") - 1
+    same_pairs = np.zeros(len(item_starts))
+    np.add.at(same_pairs, run_item_slot, run_lengths * (run_lengths - 1.0))
+    total_pairs = n_per_item * (n_per_item - 1.0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        disagreement = 1.0 - same_pairs / total_pairs
+    disagreement[total_pairs == 0] = np.nan
+    return items_sorted[item_starts], disagreement
+
+
+class TestKeySortedDisagreement:
+    @given(
+        st.lists(
+            st.tuples(st.integers(-5, 40), st.sampled_from("abcde")),
+            min_size=1,
+            max_size=120,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_matches_lexsort(self, rows):
+        items = np.array([r[0] for r in rows], dtype=np.int64)
+        responses = np.array([r[1] for r in rows], dtype=object)
+        got_items, got = _pair_disagreement_by_item(items, responses)
+        ref_items, ref = _lexsort_disagreement(items, responses)
+        assert got_items.dtype == ref_items.dtype
+        assert np.array_equal(got_items, ref_items)
+        assert got.tobytes() == ref.tobytes()
+
+    def test_tiny_study(self, released):
+        instances = released.instances
+        items = instances["item_id"]
+        response = instances.column("response")
+        got_items, got = _pair_disagreement_by_item(items, response)
+        ref_items, ref = _lexsort_disagreement(items, response)
+        assert np.array_equal(got_items, ref_items)
+        assert got.tobytes() == ref.tobytes()
+
+    def test_overflow_raises(self):
+        items = np.array([2**62, 0, 1], dtype=np.int64)
+        responses = np.array(["a", "b", "c"], dtype=object)
+        with pytest.raises(OverflowError, match="int64"):
+            _pair_disagreement_by_item(items, responses)
+        with pytest.raises(OverflowError, match="int64"):
+            _pair_disagreement_by_item(-items, responses)
+        # The extremes that still fit do not raise.
+        top = (np.iinfo(np.int64).max - 2) // 3
+        _pair_disagreement_by_item(np.array([top, 0, 1]), responses)

@@ -144,3 +144,33 @@ class TestStudyIntegration:
 
     def test_figures_bound_to_study(self, study):
         assert study.figures.state is study.state
+
+
+class TestOneStateObject:
+    """Every build path hands the figure suite and the study one state
+    object, whatever an earlier test left in a shared cache."""
+
+    def test_warm_study(self, tmp_path, monkeypatch):
+        from repro.study import _LazyState, build_study
+
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
+        build_study("tiny", seed=7, cache=True)
+        warm = build_study("tiny", seed=7, cache=True)
+        assert isinstance(warm.figures.state, _LazyState)
+        assert warm.figures.state is warm.state
+        # Reading study.state simulated the world behind the stand-in.
+        assert warm.state.config.seed == 7
+        assert warm.state.sources.names == warm.figures.state.sources.names
+
+    def test_sharded_study(self):
+        from repro.study import build_study
+
+        sharded = build_study("tiny", seed=7, cache=False, shards=2)
+        assert sharded.figures.state is sharded.state
+
+    def test_cold_study(self):
+        from repro.study import build_study
+
+        cold = build_study("tiny", seed=7, cache=False)
+        assert cold.figures.state is cold.state

@@ -269,3 +269,100 @@ class TestCardinalityOverflowGuard:
         )
         assert result.num_rows == len(composites)
         assert float(result["total"].sum()) == float(n)
+
+
+def _nanmedian_reference(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """``np.median`` of each group's non-NaN values (NaN if none), groups
+    in sorted key order."""
+    out = []
+    for k in np.unique(keys):
+        seg = values[keys == k]
+        seg = seg[~np.isnan(seg)]
+        out.append(np.median(seg) if seg.size else np.nan)
+    return np.array(out, dtype=np.float64)
+
+
+def _assert_nanmedian(keys, values) -> None:
+    keys = np.asarray(keys, dtype=np.int64)
+    values = np.asarray(values, dtype=np.float64)
+    # inf - inf and overflowing sums warn on both sides alike.
+    with np.errstate(invalid="ignore", over="ignore"):
+        got = group_by(Table({"k": keys, "v": values}), "k").agg(
+            {"m": ("v", "nanmedian")}
+        )["m"]
+        expected = _nanmedian_reference(keys, values)
+    assert got.dtype == expected.dtype == np.float64
+    # Bit-equal, NaN included (tobytes compares payload and sign).
+    assert got.tobytes() == expected.tobytes()
+
+
+class TestNanmedianKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        cells=st.lists(
+            st.tuples(
+                st.integers(0, 6),
+                st.one_of(
+                    st.floats(allow_nan=True, allow_infinity=True),
+                    st.just(float("nan")),
+                    st.sampled_from([0.0, -0.0, 1.0]),
+                ),
+            ),
+            min_size=1,
+            max_size=80,
+        )
+    )
+    def test_matches_per_segment_median(self, cells):
+        keys, values = zip(*cells)
+        _assert_nanmedian(keys, values)
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            [np.nan],
+            [np.nan, np.nan, np.nan],
+            [3.5],
+            [4.0, 1.0],
+            [4.0, np.nan, 1.0, 2.0],
+            [5.0, 1.0, np.nan, 3.0, 2.0, np.nan],
+            [-0.0],
+            [-0.0, -0.0],
+            [0.0, -0.0, -0.0],
+            [-0.0, 1.0, -1.0],
+            [np.inf, -np.inf],
+            [np.inf, np.inf, np.nan],
+            [-np.inf, 1.0, 2.0],
+            [1.7e308],
+            [1.7e308, 1.7e308],
+        ],
+    )
+    def test_one_group(self, values):
+        _assert_nanmedian(np.zeros(len(values)), values)
+
+    def test_groups_with_and_without_values(self):
+        _assert_nanmedian(
+            [0, 0, 1, 1, 2, 3, 3, 3],
+            [np.nan, np.nan, 1.0, np.nan, -0.0, 2.0, 4.0, np.nan],
+        )
+
+    def test_large_groups_take_the_in_place_sort(self):
+        rng = np.random.default_rng(3)
+        keys = np.repeat(np.arange(4), 40)
+        values = rng.normal(size=160)
+        values[rng.random(160) < 0.3] = np.nan
+        values[120:] = np.nan
+        _assert_nanmedian(keys, values)
+
+    def test_empty_table(self):
+        out = group_by(
+            Table({"k": np.empty(0, np.int64), "v": np.empty(0)}), "k"
+        ).agg({"m": ("v", "nanmedian")})
+        assert out.num_rows == 0
+        assert out["m"].dtype == np.float64
+
+    def test_integer_values(self):
+        out = group_by(
+            Table({"k": np.array([0, 0, 1]), "v": np.array([1, 2, 7])}), "k"
+        ).agg({"m": ("v", "nanmedian")})
+        assert out["m"].tolist() == [1.5, 7.0]
+        assert out["m"].dtype == np.float64

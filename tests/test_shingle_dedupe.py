@@ -8,6 +8,8 @@ which must give every document the same array.
 
 from __future__ import annotations
 
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from repro import obs
 from repro.enrichment.clustering import (
+    _crc32_spans,
     _SHINGLE_DOC_CHUNK,
     _clean,
     _shingle_cleaned,
@@ -173,3 +176,45 @@ class TestShingleCounters:
         shingle_corpus(released.batch_html)
         assert docs_counter.value - d0 == 5550
         assert templates_counter.value - t0 == 1575
+
+
+def _crc_spans(tokens: list[bytes]) -> np.ndarray:
+    lengths = np.array([len(t) for t in tokens], dtype=np.int64)
+    flat = np.frombuffer(b"".join(tokens), dtype=np.uint8)
+    starts = np.r_[0, np.cumsum(lengths)[:-1]].astype(np.int64)[:len(tokens)]
+    return _crc32_spans(flat, starts, lengths)
+
+
+class TestLengthOrderedCrc:
+    """``_crc32_spans`` walks spans longest first; each CRC must still be
+    ``zlib.crc32`` of its own span, in input order."""
+
+    @given(st.lists(st.binary(min_size=1, max_size=70), max_size=60))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_zlib(self, tokens):
+        got = _crc_spans(tokens)
+        assert got.dtype == np.uint64
+        assert got.tolist() == [zlib.crc32(t) for t in tokens]
+
+    @pytest.mark.parametrize(
+        "tokens",
+        [
+            [],
+            [b"x"],
+            [b"<div>"],
+            [b"ab", b"cd", b"ef", b"gh"],
+            [b"abc", b"a", b"abc", b"ab", b"abc"],
+        ],
+    )
+    def test_edge_cases(self, tokens):
+        assert _crc_spans(tokens).tolist() == [zlib.crc32(t) for t in tokens]
+
+    def test_spans_may_overlap_and_skip_bytes(self):
+        flat = np.frombuffer(b"hello world, hello", dtype=np.uint8)
+        starts = np.array([13, 0, 6, 1], dtype=np.int64)
+        lengths = np.array([5, 5, 5, 3], dtype=np.int64)
+        got = _crc32_spans(flat, starts, lengths).tolist()
+        raw = bytes(flat)
+        assert got == [
+            zlib.crc32(raw[s:s + n]) for s, n in zip(starts, lengths)
+        ]
