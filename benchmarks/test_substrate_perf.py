@@ -27,7 +27,7 @@ from repro.enrichment.clustering import (
     shingles,
 )
 from repro.ml import DecisionTreeClassifier
-from repro.tables import DictColumn, Table, col, group_by, hash_join
+from repro.tables import DictColumn, Table, group_by, hash_join
 
 
 def _synthetic_table(n: int, seed: int = 0) -> Table:
@@ -160,57 +160,6 @@ def test_perf_dict_group_by_naive(benchmark):
 
     out = benchmark(run)
     assert out.num_rows == _DICT_KEY_CARDINALITY
-
-
-def _filter_chain_table(n: int = 500_000) -> Table:
-    rng = np.random.default_rng(5)
-    return Table(
-        {
-            "key": rng.integers(0, n // 100 + 1, size=n),
-            "value": rng.normal(size=n),
-            "weight": rng.exponential(size=n),
-            "label": np.array(
-                [f"l{int(v)}" for v in rng.integers(0, 30, size=n)],
-                dtype=object,
-            ),
-        },
-        copy=False,
-    )
-
-
-def test_perf_fused_filter_project(benchmark):
-    """Three chained filters + projection as one lazy fused kernel: one
-    full-length mask, later predicates on compressed columns, one gather."""
-    table = _filter_chain_table()
-
-    def run():
-        return (
-            table.lazy()
-            .filter(col("value") > -1.0)
-            .filter(col("weight") < 2.0)
-            .filter(col("value") < 1.0)
-            .select(["key", "value"])
-            .collect()
-        )
-
-    out = benchmark(run)
-    assert 0 < out.num_rows < table.num_rows
-    assert out.column_names == ["key", "value"]
-
-
-def test_perf_fused_filter_project_naive(benchmark):
-    """Seed path: each filter materializes a full intermediate table (every
-    column gathered per step) before the final projection."""
-    table = _filter_chain_table()
-
-    def run():
-        step1 = table.filter(table["value"] > -1.0)
-        step2 = step1.filter(step1["weight"] < 2.0)
-        step3 = step2.filter(step2["value"] < 1.0)
-        return step3.select(["key", "value"])
-
-    out = benchmark(run)
-    assert 0 < out.num_rows < table.num_rows
 
 
 def test_perf_minhash_signature(benchmark):

@@ -46,7 +46,7 @@ REPORT_PATH = REPO_ROOT / "bench_report.txt"
 
 #: Benches whose speedup over the seed implementation the study relies on
 #: (the vectorized minhash + group-by fast paths, the byte-level shingle
-#: tokenizer, the lazy-plan fused/dictionary kernels, the work-stealing
+#: tokenizer, the dictionary-coded group-by keys, the work-stealing
 #: chunk scheduler vs static placement, the service's ETag response
 #: cache vs re-rendering every read, design extraction once per
 #: distinct interface vs once per document, and the CART split search
@@ -58,7 +58,6 @@ GUARDED_SPEEDUPS = (
     "shingle_extraction",
     "design_extraction",
     "dict_group_by",
-    "fused_filter_project",
     "shard_sched_skewed",
     "service_read_cached",
     "decision_tree_fit",
@@ -191,7 +190,7 @@ def _print_op_hotspots(ledger, top: int) -> None:
 
     Study runs fold every lazy-plan operator execution into these phases
     (see ``repro.tables.plan``), so the hotspot listing points at the
-    operator — group_by, fused_filter, join — not just the pipeline stage.
+    operator — group_by, filter, join — not just the pipeline stage.
     Ledgers span schema generations, so records missing ``top_ops``-style
     phase aggregates (or carrying malformed ones) are skipped with a note
     instead of tracebacking.

@@ -7,8 +7,8 @@ Gates
   shard package is the byte-identity-critical code path; the differential
   suite must keep touching essentially all of it.
 - ``src/repro/tables``: **>= 85%**, enforced always.  The lazy query
-  engine (plans, fused kernels, dictionary columns) underpins every
-  analysis table; its property suites must keep touching all of it.
+  engine (plans, group-by/join kernels, dictionary columns) underpins
+  every analysis table; its property suites must keep touching all of it.
 - ``src/repro/obs``: **>= 85%**, enforced always.  The observability
   stack (tracing, metrics, sampler, ledger, drift, dashboard) is what
   every perf/fidelity/RSS guard trusts; untested telemetry lies.

@@ -19,8 +19,6 @@
 #   report_skewed.txt  - the 4-shard report with an injected straggler shard
 #                        under a live pool: work stealing reschedules, bytes
 #                        must not change (must diff clean)
-#   report_eager.txt   - the same report with the plan optimizer replaced by
-#                        the identity (must diff clean)
 #   report_sampled.txt - the same report with --sample resource telemetry
 #                        recording a utilization timeline (must diff clean)
 #   report_live.txt    - the 4-shard report built with --live while curls
@@ -47,32 +45,32 @@ mkdir -p "$OUT"
 # final drift check compares this pipeline's runs against each other.
 export REPRO_LEDGER_DIR="$OUT/ledger"
 
-echo "== 1/18 tests =="
+echo "== 1/17 tests =="
 python -m pytest tests/ 2>&1 | tee "$OUT/test_output.txt" | tail -1
 
-echo "== 2/18 tests again with a live process pool (REPRO_WORKERS=2) =="
+echo "== 2/17 tests again with a live process pool (REPRO_WORKERS=2) =="
 REPRO_WORKERS=2 python -m pytest tests/ 2>&1 | tee "$OUT/test_workers2.txt" | tail -1
 
-echo "== 3/18 coverage gate (src/repro/{shard,tables,obs,parallel,service,html,cache,ml,enrichment} >= 85%) =="
+echo "== 3/17 coverage gate (src/repro/{shard,tables,obs,parallel,service,html,cache,ml,enrichment} >= 85%) =="
 python scripts/coverage_gate.py 2>&1 | tee "$OUT/coverage_gate.txt" | tail -2
 
-echo "== 4/18 substrate bench guard (fails on >25% regression vs BENCH_substrate.json) =="
+echo "== 4/17 substrate bench guard (fails on >25% regression vs BENCH_substrate.json) =="
 python scripts/bench_guard.py 2>&1 | tee "$OUT/bench_guard.txt" | tail -1
 
-echo "== 5/18 benchmarks (medium scale, regenerates every table & figure) =="
+echo "== 5/17 benchmarks (medium scale, regenerates every table & figure) =="
 python -m pytest benchmarks/ --benchmark-only 2>&1 | tee "$OUT/bench_output.txt" | tail -1
 cp bench_report.txt "$OUT/bench_report.txt"
 
-echo "== 6/18 validation checklist =="
+echo "== 6/17 validation checklist =="
 python -m repro validate --scale small --seed 7 2>&1 | tee "$OUT/validation.txt" | tail -1
 
-echo "== 7/18 traced medium-scale report (writes trace_medium.json) =="
+echo "== 7/17 traced medium-scale report (writes trace_medium.json) =="
 python -m repro report --scale medium --seed 7 --no-cache \
     --trace --trace-out "$OUT/trace_medium.json" > /dev/null
 python -m repro trace "$OUT/trace_medium.json" --no-tree > "$OUT/trace_summary.txt"
 head -7 "$OUT/trace_summary.txt"
 
-echo "== 8/18 failure injection (faulted medium report must match the clean one) =="
+echo "== 8/17 failure injection (faulted medium report must match the clean one) =="
 python -m repro report --scale medium --seed 7 --no-cache \
     > "$OUT/report_clean.txt"
 # REPRO_NO_LEDGER: a deliberately degraded diagnostic run must not become a
@@ -86,7 +84,7 @@ diff "$OUT/report_clean.txt" "$OUT/report_faulted.txt"   # set -e: a diff is fat
 rm -rf "$OUT/fault_cache"
 echo "faulted run identical to clean run"
 
-echo "== 9/18 sharded execution (4-shard medium report must match the monolithic one) =="
+echo "== 9/17 sharded execution (4-shard medium report must match the monolithic one) =="
 # A private cache dir forces a genuine sharded build: the diff must prove
 # byte identity of the pipeline, not a warm hit on the monolithic entry.
 REPRO_CACHE_DIR="$OUT/shard_cache" \
@@ -96,7 +94,7 @@ diff "$OUT/report_clean.txt" "$OUT/report_sharded.txt"   # set -e: a diff is fat
 rm -rf "$OUT/shard_cache"
 echo "sharded run identical to monolithic run"
 
-echo "== 10/18 skewed shards (straggler + work stealing must not change bytes) =="
+echo "== 10/17 skewed shards (straggler + work stealing must not change bytes) =="
 # shard.build:sleep@1 makes shard 0 a deterministic straggler; under a live
 # 2-worker pool the as-completed dispatcher reschedules the remaining shards
 # around it.  Scheduling must never leak into the output bytes.
@@ -108,25 +106,7 @@ diff "$OUT/report_clean.txt" "$OUT/report_skewed.txt"   # set -e: a diff is fata
 rm -rf "$OUT/skew_cache"
 echo "skewed sharded run identical to clean run"
 
-echo "== 11/18 plan optimizer off (an unoptimized report must match the optimized one) =="
-# A private cache dir forces a genuine rebuild with every lazy plan run
-# exactly as recorded (optimize() patched to the identity); the diff proves
-# the plan optimizer never changes a single byte.
-REPRO_CACHE_DIR="$OUT/eager_cache" REPRO_NO_LEDGER=1 \
-    python - > "$OUT/report_eager.txt" <<'PY'
-from unittest import mock
-
-from repro.cli import main
-from repro.tables import plan
-
-with mock.patch.object(plan, "optimize", lambda node: node):
-    raise SystemExit(main(["report", "--scale", "medium", "--seed", "7"]))
-PY
-diff "$OUT/report_clean.txt" "$OUT/report_eager.txt"   # set -e: a diff is fatal
-rm -rf "$OUT/eager_cache"
-echo "unoptimized run identical to optimized run"
-
-echo "== 12/18 resource telemetry (sampled 4-shard medium report must match the clean one) =="
+echo "== 11/17 resource telemetry (sampled 4-shard medium report must match the clean one) =="
 # The sampler writes only into the run record, never to stdout: a sampled
 # build must stay byte-identical.  A private cache dir forces a genuine
 # sharded build so the record carries per-shard utilization intervals.
@@ -138,7 +118,7 @@ rm -rf "$OUT/sample_cache"
 echo "sampled run identical to clean run"
 python -m repro plan --scale tiny --seed 7 | tail -7
 
-echo "== 13/18 live telemetry (served + probed 4-shard medium report must match the clean one) =="
+echo "== 12/17 live telemetry (served + probed 4-shard medium report must match the clean one) =="
 # --live serves /metrics (Prometheus), /events (SSE), and the dashboard
 # from inside the build process; the URL goes to stderr and the server
 # never writes stdout, so a build polled and streamed mid-flight must stay
@@ -179,7 +159,7 @@ grep -q '^repro_' "$OUT/live_metrics.txt"                # Prometheus exposition
 rm -rf "$OUT/live_cache"
 echo "live-served run identical to clean run"
 
-echo "== 14/18 incremental service (3 shuffled HTTP micro-batches must match the batch study) =="
+echo "== 13/17 incremental service (3 shuffled HTTP micro-batches must match the batch study) =="
 # repro serve --ingest hosts the marketplace-as-a-service write path.  The
 # probe splits the medium study into 3 micro-batches, ingests them over
 # HTTP in shuffled order, then reads every table, figure, and the fidelity
@@ -253,16 +233,16 @@ wait "$SERVE_PID" 2>/dev/null || true
 diff "$OUT/service_batch.txt" "$OUT/service_incremental.txt"  # set -e: a diff is fatal
 echo "incrementally ingested service identical to one-shot batch study"
 
-echo "== 15/18 SVG figures =="
+echo "== 14/17 SVG figures =="
 python -m repro figures --scale small --seed 7 --out "$OUT/figures"
 
-echo "== 16/18 dataset export =="
+echo "== 15/17 dataset export =="
 python -m repro simulate --scale small --seed 7 --out "$OUT/dataset"
 
-echo "== 17/18 workload derivation =="
+echo "== 16/17 workload derivation =="
 python -m repro workload --scale small --seed 7 --out "$OUT/workload.json"
 
-echo "== 18/18 run ledger: history, dashboard, drift check =="
+echo "== 17/17 run ledger: history, dashboard, drift check =="
 python -m repro runs list
 python scripts/bench_guard.py --history --top 5
 python -m repro runs report --out "$OUT/runs_report.html"

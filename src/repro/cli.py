@@ -220,8 +220,8 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     study = build_study(
         args.scale, seed=args.seed, cache=_cache_arg(args), shards=args.shards
     )
-    # The §4 batch rollup: filter + fused projection + group_by + sort +
-    # head, so every major operator shows up in the profile.
+    # The §4 batch rollup: two filters + group_by + sort + head, so every
+    # major operator shows up in the profile.
     frame = (
         study.enriched.batch_table.lazy()
         .filter(col("num_instances") > 0)

@@ -37,7 +37,6 @@ _TREND_COUNTERS = (
     "cache.hit", "cache.miss", "cache.corrupt", "cache.write_failed",
     "parallel.serial_fallback", "parallel.timeout", "faults.injected",
     "ledger.corrupt",
-    "plan.fused_ops", "plan.pushdowns", "plan.cache_hit",
 )
 
 

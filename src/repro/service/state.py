@@ -456,7 +456,10 @@ class ServiceState:
         captured together under the state lock (consistent with the
         version stamp); the enrichment runs outside it, so ingest is never
         blocked behind a build.  The dirty batches are cleared, and the
-        parts memo advanced, only when the build succeeds.
+        parts memo advanced, only when the build succeeds.  The
+        ``service.snapshot`` span times the whole build; its
+        ``service.snapshot.finalize`` child is the capture under the state
+        lock, where the catalog and instance folds are finalized.
         """
         from repro.dataset.release import ReleasedDataset
         from repro.figures.suite import FigureSuite
@@ -466,28 +469,31 @@ class ServiceState:
         if memo is not None:
             return memo
         with self._build_lock:
-            with self._lock:
-                memo = self._fresh_snapshot()
-                if memo is not None:
-                    return memo
-                if not (
-                    self._catalog.num_rows
-                    and self._instances.num_rows
-                    and self._html
-                ):
-                    raise IngestError(
-                        "snapshot needs catalog, instances, and html "
-                        "ingested"
-                    )
-                versions = self._version_key()
-                released = ReleasedDataset(
-                    batch_catalog=self._catalog.finalize(),
-                    batch_html=dict(self._html),
-                    instances=self._instances.finalize(),
-                )
-                dirty = list(self._dirty)
-            _SNAPSHOT_BUILDS.inc()
+            # Only builders (serialized by the build lock) set the memo, so
+            # a stale memo stays stale; a concurrent ingest only moves the
+            # version the capture below reads.
+            memo = self._fresh_snapshot()
+            if memo is not None:
+                return memo
             with obs.span("service.snapshot"):
+                with self._lock, obs.span("service.snapshot.finalize"):
+                    if not (
+                        self._catalog.num_rows
+                        and self._instances.num_rows
+                        and self._html
+                    ):
+                        raise IngestError(
+                            "snapshot needs catalog, instances, and html "
+                            "ingested"
+                        )
+                    versions = self._version_key()
+                    released = ReleasedDataset(
+                        batch_catalog=self._catalog.finalize(),
+                        batch_html=dict(self._html),
+                        instances=self._instances.finalize(),
+                    )
+                    dirty = list(self._dirty)
+                _SNAPSHOT_BUILDS.inc()
                 enriched = self._parts.enrich(released, self.config, dirty)
             lazy = _LazyState(self.config)
             snapshot = Snapshot(

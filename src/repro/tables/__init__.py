@@ -12,8 +12,9 @@ arrays:
 - :func:`~repro.tables.groupby.group_by` — sort-based grouped aggregation
   (count, sum, mean, median, min, max, nunique, percentiles, first, collect).
 - :func:`~repro.tables.join.hash_join` — inner and left equi-joins.
-- :class:`~repro.tables.plan.LazyFrame` — lazy logical plans with filter
-  fusion and projection pushdown; start one with ``table.lazy()`` and run it
+- :class:`~repro.tables.plan.LazyFrame` — lazy logical plans, run as
+  recorded through the eager operators with per-operator profiling
+  (``explain(analyze=True)``); start one with ``table.lazy()`` and run it
   with ``collect()``.
 - :mod:`~repro.tables.io` — CSV and JSONL round-trips with type inference.
 
@@ -44,7 +45,7 @@ from repro.tables.io import (
     write_jsonl,
 )
 from repro.tables.join import hash_join
-from repro.tables.plan import LazyFrame, OpProfile, optimize, profile_hotspots
+from repro.tables.plan import LazyFrame, OpProfile, profile_hotspots
 from repro.tables.table import Table, concat_tables
 
 __all__ = [
@@ -63,7 +64,6 @@ __all__ = [
     "group_by",
     "hash_join",
     "lit",
-    "optimize",
     "profile_hotspots",
     "read_csv",
     "read_jsonl",

@@ -15,10 +15,8 @@ expressions directly (they are callables).
 
 Unlike a closure tree, the IR here is *declarative*: each node carries a
 ``kind`` tag, an optional payload, and child expressions.  That makes
-expressions picklable (so fused kernels can ship across process pools) and
-introspectable — :meth:`Expr.columns` reports exactly which columns a
-predicate touches, which is what lets the plan optimizer push projections
-below joins and evaluate filters on column subsets.
+expressions picklable and gives every one a readable ``description``,
+which is how a filter names its predicate in ``explain`` output.
 """
 
 from __future__ import annotations
@@ -122,20 +120,11 @@ class Expr:
     def __call__(self, table: Table) -> np.ndarray:
         return self.evaluate(table)
 
-    def columns(self) -> set[str]:
-        """Every column name this expression reads."""
-        if self.kind == "col":
-            return {self.payload}
-        out: set[str] = set()
-        for child in self.children:
-            out |= child.columns()
-        return out
-
     def __repr__(self) -> str:
         return f"Expr({self.description})"
 
     # Defining __eq__ (below) would otherwise clear hashability; identity
-    # hashing keeps expressions usable as dict keys in plan caches.
+    # hashing keeps expressions usable as dict keys.
     __hash__ = object.__hash__
 
     # Builders ---------------------------------------------------------- #

@@ -169,22 +169,13 @@ class GroupedTable:
         out[self._segment_has_nan(vals)] = np.nan
         return out
 
-    def _group_median(self, sorted_vals: np.ndarray, counts: np.ndarray) -> np.ndarray:
-        """Per-group median (bit-identical to ``np.median`` per segment)."""
-        vals = sorted_vals.astype(np.float64, copy=False)
-        if self.num_groups == 0:
-            return np.empty(0, dtype=np.float64)
-        lo = self._starts + (counts - 1) // 2
-        hi = self._starts + counts // 2
-        out = (vals[lo] + vals[hi]) * 0.5
-        out[self._segment_has_nan(vals)] = np.nan
-        return out
-
-    def _group_nanmedian(
-        self, sorted_vals: np.ndarray, counts: np.ndarray
+    def _group_median(
+        self, sorted_vals: np.ndarray, counts: np.ndarray, *, skip_nan: bool
     ) -> np.ndarray:
-        """Per-group median of the non-NaN values, NaN for a group without
-        one: bit-identical to ``np.median(seg[~np.isnan(seg)])``.
+        """Per-group median, bit-identical to ``np.median`` on each segment
+        (``skip_nan=False``: a segment holding a NaN yields its NaN) or to
+        ``np.median(seg[~np.isnan(seg)])`` (``skip_nan=True``: NaN only for
+        a segment without a valid value).
 
         NaN sorts last in each segment, so the valid values are the
         segment's prefix and the middle is indexed within it.
@@ -206,7 +197,12 @@ class GroupedTable:
         out *= 0.5
         odd = (valid % 2).astype(bool)
         out[odd] = vals[lo[odd]] + 0.0
-        out[valid == 0] = np.nan
+        if skip_nan:
+            out[valid == 0] = np.nan
+        else:
+            # np.median returns the segment's (last-sorted) NaN itself.
+            has_nan = valid < counts
+            out[has_nan] = vals[self._starts[has_nan] + counts[has_nan] - 1]
         return out
 
     def _group_std(self, ordered: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -370,13 +366,10 @@ class GroupedTable:
                 out[out_name] = np.minimum.reduceat(ordered, self._starts)
             elif how == "max":
                 out[out_name] = np.maximum.reduceat(ordered, self._starts)
-            elif how == "median":
+            elif how in ("median", "nanmedian"):
                 out[out_name] = self._group_median(
-                    sorted_in_groups(in_name, ordered), counts
-                )
-            elif how == "nanmedian":
-                out[out_name] = self._group_nanmedian(
-                    sorted_in_groups(in_name, ordered), counts
+                    sorted_in_groups(in_name, ordered), counts,
+                    skip_nan=how == "nanmedian",
                 )
             elif how == "std":
                 out[out_name] = self._group_std(ordered, counts)

@@ -6,27 +6,20 @@ operator chain as a small logical plan::
 
     scan -> filter -> project -> group_by -> join -> sort
 
-and only runs it at :meth:`LazyFrame.collect`.  Before execution the plan
-passes through an optimizer that
+and only runs it at :meth:`LazyFrame.collect`.  The plan runs exactly as
+recorded: every node, bottom-up, through the eager operator of the same
+name (a filter through :meth:`Table.filter`, a join through
+:func:`~repro.tables.join.hash_join`, ...), so a collected plan is
+byte-identical to the eager chain it records.  Nothing is memoized: a node
+reached twice (a shared subplan) runs twice, and every ``collect()`` runs
+the whole plan again.
 
-- **fuses** adjacent filters (and a trailing projection) into one
-  single-pass kernel — each predicate after the first is evaluated on a
-  compressed view holding only the columns it references, and the surviving
-  rows are gathered exactly once at the end (``plan.fused_ops``);
-- **pushes projections down** below joins and group-bys so upstream
-  operators stop materializing columns nobody reads (``plan.pushdowns``).
-
-The executor memoizes shared subplans (``plan.cache_hit``/``cache_miss``)
-and runs every operator in-process.  Executing the raw, unoptimized plan
-(:func:`_execute` on the recorded node) goes through the eager operators
-node by node; the tests and ``scripts/reproduce_all.sh`` use it, by
-replacing :func:`optimize` with the identity, as the byte-identity
-reference for the optimizer.
-
-Every rewrite preserves eager semantics bit for bit: predicates evaluate in
-their original order on exactly the rows that survived the preceding
-predicates, so data-dependent expressions (divisions, logs) see the same
-operands either way.
+What the plan adds over the eager chain is observability: every operator
+runs inside a ``plan.op.<name>`` span, and ``explain(analyze=True)`` /
+:meth:`LazyFrame.profile` report rows, wall and CPU time per operator, and
+each filter's selectivity.  Building a plan checks ``select``/``drop``/
+``rename`` against the input schema, so a misspelt column fails before
+anything runs.
 """
 
 from __future__ import annotations
@@ -35,18 +28,12 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Iterator, Mapping, Sequence
 
-import numpy as np
-
 from repro import obs
 from repro.tables.expr import Expr
 from repro.tables.groupby import group_by
 from repro.tables.join import hash_join
-from repro.tables.table import SchemaError, Table, _gather
+from repro.tables.table import SchemaError, Table
 
-_FUSED_OPS = obs.counter("plan.fused_ops")
-_PUSHDOWNS = obs.counter("plan.pushdowns")
-_CACHE_HIT = obs.counter("plan.cache_hit")
-_CACHE_MISS = obs.counter("plan.cache_miss")
 _COLLECTS = obs.counter("plan.collects")
 _ANALYZED = obs.counter("plan.analyzed")
 _EXEC_SECONDS = obs.histogram("plan.exec_seconds")
@@ -76,23 +63,6 @@ class Filter(PlanNode):
     def __init__(self, child: PlanNode, predicate: Any):
         self.child = child
         self.predicate = predicate
-
-
-class FusedFilter(PlanNode):
-    """Optimizer-made: a predicate chain plus optional trailing projection,
-    executed as one single-gather kernel."""
-
-    __slots__ = ("child", "predicates", "projection")
-
-    def __init__(
-        self,
-        child: PlanNode,
-        predicates: tuple[Any, ...],
-        projection: tuple[str, ...] | None,
-    ):
-        self.child = child
-        self.predicates = predicates
-        self.projection = projection
 
 
 class Project(PlanNode):
@@ -188,8 +158,6 @@ def _schema(node: PlanNode) -> list[str]:
         return node.table.column_names
     if isinstance(node, Project):
         return list(node.names)
-    if isinstance(node, FusedFilter) and node.projection is not None:
-        return list(node.projection)
     if isinstance(node, WithColumn):
         names = _schema(node.child)
         return names if node.name in names else names + [node.name]
@@ -234,226 +202,11 @@ def _simulate_join_names(
 
 
 # --------------------------------------------------------------------- #
-# The fused filter(+project) kernel
-# --------------------------------------------------------------------- #
-
-
-def _validate_mask(mask: np.ndarray, length: int) -> np.ndarray:
-    mask = np.asarray(mask)
-    if mask.dtype != bool or mask.shape != (length,):
-        raise SchemaError(
-            f"filter mask must be bool of length {length}, "
-            f"got dtype {mask.dtype} shape {mask.shape}"
-        )
-    return mask
-
-
-def _full_length_mask(table: Table, predicate: Any) -> np.ndarray:
-    """Evaluate the first predicate of a chain over every row."""
-    n = table.num_rows
-    if callable(predicate):
-        return _validate_mask(predicate(table), n)
-    return _validate_mask(predicate, n)
-
-
-def _apply_filter(
-    table: Table,
-    predicates: Sequence[Any],
-    projection: Sequence[str] | None = None,
-    survivors: list[int] | None = None,
-) -> Table:
-    """Apply a predicate chain and optional projection in a single pass.
-
-    The first predicate produces surviving row indices; each later predicate
-    evaluates on a *compressed* view containing only the columns it
-    references (callables and raw masks fall back to a full intermediate),
-    preserving exact sequential semantics.  Rows are gathered from the
-    source table exactly once, at the end, for just the projected columns.
-    A profiled execution passes ``survivors``, which receives the row count
-    left after each predicate, in order.
-    """
-    if projection is not None:
-        missing = [n for n in projection if n not in table]
-        if missing:
-            raise SchemaError(f"unknown columns in select: {missing}")
-    idx: np.ndarray | None = None
-    for predicate in predicates:
-        if idx is None:
-            mask = _full_length_mask(table, predicate)
-            idx = np.flatnonzero(mask)
-        else:
-            if isinstance(predicate, Expr):
-                cols = predicate.columns()
-                sub = Table(
-                    {c: _gather(table.column(c), idx) for c in cols}, copy=False
-                )
-                mask = _validate_mask(predicate.evaluate(sub), len(idx))
-            elif callable(predicate):
-                sub = table.take(idx)
-                mask = _validate_mask(predicate(sub), len(idx))
-            else:
-                mask = _validate_mask(predicate, len(idx))
-            idx = idx[mask]
-        if survivors is not None:
-            survivors.append(int(idx.size))
-    if idx is None:
-        return table if projection is None else table.select(list(projection))
-    names = list(projection) if projection is not None else table.column_names
-    return Table({n: _gather(table.column(n), idx) for n in names}, copy=False)
-
-
-# --------------------------------------------------------------------- #
-# Optimizer
-# --------------------------------------------------------------------- #
-
-
-def optimize(node: PlanNode) -> PlanNode:
-    """Rewrite a plan bottom-up: filter fusion, project collapsing, and
-    projection pushdown below joins and group-bys."""
-    if isinstance(node, Scan):
-        return node
-    if isinstance(node, Join):
-        node = Join(
-            optimize(node.left), optimize(node.right), node.on, node.how, node.suffix
-        )
-        return node
-    child = optimize(_children(node)[0])
-
-    if isinstance(node, FusedFilter):
-        # Already-rewritten plans (e.g. explain() after an explicit
-        # optimize()) pass through unchanged: optimize is idempotent.
-        return FusedFilter(child, node.predicates, node.projection)
-
-    if isinstance(node, Filter):
-        if isinstance(child, Filter):
-            _FUSED_OPS.inc()
-            return FusedFilter(child.child, (child.predicate, node.predicate), None)
-        if isinstance(child, FusedFilter) and child.projection is None:
-            _FUSED_OPS.inc()
-            return FusedFilter(
-                child.child, child.predicates + (node.predicate,), None
-            )
-        return Filter(child, node.predicate)
-
-    if isinstance(node, Project):
-        names = node.names
-        if isinstance(child, Project) and set(names) <= set(child.names):
-            return Project(child.child, names)
-        if isinstance(child, Filter):
-            _FUSED_OPS.inc()
-            return FusedFilter(child.child, (child.predicate,), names)
-        if isinstance(child, FusedFilter) and child.projection is None:
-            _FUSED_OPS.inc()
-            return FusedFilter(child.child, child.predicates, names)
-        if isinstance(child, Join):
-            pushed = _pushdown_join(child, set(names))
-            if pushed is not None:
-                return Project(pushed, names)
-        return Project(child, names)
-
-    if isinstance(node, GroupByAgg):
-        needed = list(dict.fromkeys(list(node.keys) + [
-            in_name for (in_name, _how) in node.spec.values()
-        ]))
-        rewritten = _pushdown_into(child, needed)
-        return GroupByAgg(rewritten, node.keys, node.spec)
-
-    if isinstance(node, WithColumn):
-        return WithColumn(child, node.name, node.values)
-    if isinstance(node, Rename):
-        return Rename(child, node.mapping)
-    if isinstance(node, Sort):
-        return Sort(child, node.names, node.descending)
-    if isinstance(node, Distinct):
-        return Distinct(child, node.names)
-    if isinstance(node, Head):
-        return Head(child, node.n)
-    raise AssertionError(f"unknown plan node {type(node).__name__}")
-
-
-def _pushdown_into(child: PlanNode, needed: Sequence[str]) -> PlanNode:
-    """Narrow ``child`` so it materializes only the ``needed`` columns.
-
-    Filters gain a fused projection; joins prune the columns gathered from
-    each side.  Anything else is left alone (projection there would just
-    add a pass).
-    """
-    child_schema = _schema(child)
-    if any(n not in child_schema for n in needed):
-        return child  # let execution raise the schema error unoptimized
-    if set(child_schema) == set(needed):
-        return child
-    ordered = tuple(n for n in child_schema if n in set(needed))
-    if isinstance(child, Filter):
-        _PUSHDOWNS.inc()
-        return FusedFilter(child.child, (child.predicate,), ordered)
-    if isinstance(child, FusedFilter) and child.projection is None:
-        _PUSHDOWNS.inc()
-        return FusedFilter(child.child, child.predicates, ordered)
-    if isinstance(child, Join):
-        pushed = _pushdown_join(child, set(needed))
-        if pushed is not None:
-            return pushed
-    return child
-
-
-def _pushdown_join(node: Join, needed: set[str]) -> Join | None:
-    """Prune join inputs to the columns the output actually needs.
-
-    Key columns always stay, and a side keeps any column whose *name* also
-    exists on the other side: those drive the suffix-collision decisions,
-    and pruning them would silently rename the surviving columns.  The
-    pruned plan is verified by re-simulating the naming pass — if the kept
-    outputs would differ at all, the pushdown is abandoned.
-    """
-    left_names = _schema(node.left)
-    right_names = _schema(node.right)
-    try:
-        full = _simulate_join_names(left_names, right_names, node.on, node.suffix)
-    except SchemaError:
-        return None  # execution will raise identically; do not rewrite
-    keys = set(node.on)
-    left_keep = [
-        n for n in left_names
-        if n in needed or n in keys or n in right_names
-    ]
-    right_keep = [
-        src for side, src, out in full
-        if side == "right" and (out in needed or src in keys)
-    ]
-    right_keep = list(dict.fromkeys(
-        [k for k in node.on if k in right_names] + right_keep
-    ))
-    # Preserve right-side column order.
-    right_keep = [n for n in right_names if n in set(right_keep)]
-    if len(left_keep) == len(left_names) and len(right_keep) == len(right_names):
-        return None
-    pruned = _simulate_join_names(left_keep, right_keep, node.on, node.suffix)
-    kept_outputs = {out for _s, _src, out in pruned}
-    expected = {
-        out for side, src, out in full
-        if (side == "left" and src in left_keep)
-        or (side == "right" and src in right_keep)
-    }
-    if kept_outputs != expected or not needed <= kept_outputs:
-        return None
-    left = node.left
-    right = node.right
-    if len(left_keep) != len(left_names):
-        _PUSHDOWNS.inc()
-        left = optimize(Project(left, tuple(left_keep)))
-    if len(right_keep) != len(right_names):
-        _PUSHDOWNS.inc()
-        right = optimize(Project(right, tuple(right_keep)))
-    return Join(left, right, node.on, node.how, node.suffix)
-
-
-# --------------------------------------------------------------------- #
 # Executor
 # --------------------------------------------------------------------- #
 
 _OP_NAMES: dict[type, str] = {
-    Scan: "scan", Filter: "filter", FusedFilter: "fused_filter",
+    Scan: "scan", Filter: "filter",
     Project: "project", WithColumn: "with_column", Rename: "rename",
     GroupByAgg: "group_by", Join: "join", Sort: "sort",
     Distinct: "distinct", Head: "head",
@@ -464,10 +217,10 @@ _OP_NAMES: dict[type, str] = {
 class OpProfile:
     """Execution profile of one plan operator.
 
-    Built by a profiled run (:meth:`LazyFrame.profile` /
-    ``explain(analyze=True)``).  ``rows_in`` holds one entry per input in
-    child order; shared subplans appear once in the tree per occurrence
-    but are the *same* object, so ``memo_hits`` counts every reuse.
+    Every execution builds one per node it runs; :meth:`LazyFrame.profile`
+    and ``explain(analyze=True)`` return it.  ``rows_in`` holds one entry
+    per input in child order, and ``children`` mirrors the plan tree, so a
+    shared subplan appears (and was executed) once per occurrence.
     """
 
     op: str
@@ -476,28 +229,18 @@ class OpProfile:
     rows_out: int
     wall_s: float
     cpu_s: float
-    #: Times this operator's memoized result was reused by another parent.
-    memo_hits: int = 0
-    #: Rows surviving after each predicate of a filter chain, in order.
-    survivors: tuple[int, ...] = ()
     children: list["OpProfile"] = field(default_factory=list)
 
     @property
-    def selectivity(self) -> tuple[float, ...]:
-        """Fraction of incoming rows surviving each predicate, in order."""
-        out: list[float] = []
-        prev = self.rows_in[0] if self.rows_in else 0
-        for kept in self.survivors:
-            out.append(kept / prev if prev else 1.0)
-            prev = kept
-        return tuple(out)
+    def selectivity(self) -> float | None:
+        """Fraction of incoming rows a filter keeps; ``None`` for any
+        other operator."""
+        if self.op != "filter":
+            return None
+        return self.rows_out / self.rows_in[0] if self.rows_in[0] else 1.0
 
     def walk(self) -> Iterator["OpProfile"]:
-        """Yield this profile and every descendant, depth-first.
-
-        Shared (memoized) subtrees are yielded once per occurrence;
-        dedupe by ``id()`` when aggregating.
-        """
+        """Yield this profile and every descendant, depth-first."""
         yield self
         for child in self.children:
             yield from child.walk()
@@ -507,32 +250,22 @@ class OpProfile:
             "op": self.op, "detail": self.detail,
             "rows_in": list(self.rows_in), "rows_out": self.rows_out,
             "wall_s": self.wall_s, "cpu_s": self.cpu_s,
-            "memo_hits": self.memo_hits,
-            "selectivity": list(self.selectivity),
+            "selectivity": self.selectivity,
             "children": [c.to_dict() for c in self.children],
         }
 
 
 def profile_hotspots(root: OpProfile, top: int = 5) -> list[OpProfile]:
-    """The ``top`` slowest distinct operators of a profile tree by wall."""
-    seen = {id(p): p for p in root.walk()}
-    return sorted(seen.values(), key=lambda p: -p.wall_s)[:top]
+    """The ``top`` slowest operators of a profile tree by wall time."""
+    return sorted(root.walk(), key=lambda p: -p.wall_s)[:top]
 
 
-def _apply_node(
-    node: PlanNode,
-    inputs: Sequence[Table],
-    survivors: list[int] | None = None,
-) -> Table:
+def _apply_node(node: PlanNode, inputs: Sequence[Table]) -> Table:
     """Run one operator over already-executed inputs (child order)."""
     if isinstance(node, Scan):
         return node.table
     if isinstance(node, Filter):
-        return _apply_filter(inputs[0], (node.predicate,), None, survivors)
-    if isinstance(node, FusedFilter):
-        return _apply_filter(
-            inputs[0], node.predicates, node.projection, survivors
-        )
+        return inputs[0].filter(node.predicate)
     if isinstance(node, Project):
         return inputs[0].select(list(node.names))
     if isinstance(node, WithColumn):
@@ -559,51 +292,31 @@ def _apply_node(
     raise AssertionError(f"unknown plan node {type(node).__name__}")
 
 
-def _execute(
-    node: PlanNode,
-    memo: dict[int, Table],
-    profiles: dict[int, OpProfile] | None = None,
-) -> Table:
-    """Execute ``node`` bottom-up, memoizing results by node id; a
-    profiled execution also fills ``profiles`` with one
-    :class:`OpProfile` per executed node id."""
-    cached = memo.get(id(node))
-    if cached is not None:
-        _CACHE_HIT.inc()
-        if profiles is not None:
-            prof = profiles.get(id(node))
-            if prof is not None:
-                prof.memo_hits += 1
-        return cached
-    _CACHE_MISS.inc()
-
+def _execute(node: PlanNode) -> tuple[Table, OpProfile]:
+    """Execute ``node`` bottom-up; returns its result and its profile."""
     # Children run before the operator's own clock starts, so wall/CPU
     # below is attributable to this operator alone.
-    inputs = [_execute(c, memo, profiles) for c in _children(node)]
+    ran = [_execute(c) for c in _children(node)]
+    inputs = [table for table, _prof in ran]
 
     op = _OP_NAMES[type(node)]
-    survivors: list[int] | None = [] if profiles is not None else None
     with obs.span(f"plan.op.{op}"):
         t0 = time.perf_counter()
         c0 = time.thread_time()
-        result = _apply_node(node, inputs, survivors)
+        result = _apply_node(node, inputs)
         wall = time.perf_counter() - t0
         cpu = time.thread_time() - c0
     _EXEC_SECONDS.observe(wall)
 
-    memo[id(node)] = result
-    if profiles is not None:
-        profiles[id(node)] = OpProfile(
-            op=op,
-            detail=_node_label(node),
-            rows_in=tuple(t.num_rows for t in inputs),
-            rows_out=result.num_rows,
-            wall_s=wall,
-            cpu_s=cpu,
-            survivors=tuple(survivors),
-            children=[profiles[id(c)] for c in _children(node)],
-        )
-    return result
+    return result, OpProfile(
+        op=op,
+        detail=_node_label(node),
+        rows_in=tuple(t.num_rows for t in inputs),
+        rows_out=result.num_rows,
+        wall_s=wall,
+        cpu_s=cpu,
+        children=[prof for _table, prof in ran],
+    )
 
 
 # --------------------------------------------------------------------- #
@@ -627,12 +340,11 @@ class LazyGroupBy:
 class LazyFrame:
     """A deferred chain of table operators; run it with :meth:`collect`."""
 
-    __slots__ = ("_node", "_cached", "_profiled")
+    __slots__ = ("_node", "_profiled")
 
     def __init__(self, node: PlanNode):
         self._node = node
-        self._cached: Table | None = None
-        self._profiled: tuple[PlanNode, dict[int, OpProfile], Table] | None = None
+        self._profiled: OpProfile | None = None
 
     @classmethod
     def scan(cls, table: Table) -> "LazyFrame":
@@ -704,79 +416,59 @@ class LazyFrame:
     # Execution -------------------------------------------------------- #
 
     def collect(self) -> Table:
-        """Optimize and execute the plan (memoized per frame)."""
-        if self._cached is not None:
-            _CACHE_HIT.inc()
-            return self._cached
+        """Execute the plan as recorded; every call runs it again."""
         _COLLECTS.inc()
-        self._cached = _execute(optimize(self._node), {})
-        return self._cached
-
-    def _analyze(self) -> tuple[PlanNode, dict[int, OpProfile], Table]:
-        """Execute the plan under per-operator profiling.
-
-        Returns the executed (optimized) plan, its profiles keyed by
-        plan-node id, and the result table — which is also cached on the
-        frame, so a following :meth:`collect` costs nothing extra.  The
-        profile itself is memoized too: ``explain(analyze=True)`` followed
-        by :meth:`profile` executes the plan once.
-        """
-        if self._profiled is not None:
-            return self._profiled
-        node = optimize(self._node)
-        profiles: dict[int, OpProfile] = {}
-        _ANALYZED.inc()
-        with obs.span("plan.analyze"):
-            result = _execute(node, {}, profiles)
-        if self._cached is None:
-            self._cached = result
-        self._profiled = (node, profiles, result)
-        return self._profiled
+        result, _prof = _execute(self._node)
+        return result
 
     def profile(self) -> OpProfile:
         """Run the plan and return its root :class:`OpProfile` — the same
-        tree ``explain(analyze=True)`` renders, as structured data."""
-        node, profiles, _result = self._analyze()
-        return profiles[id(node)]
+        tree ``explain(analyze=True)`` renders, as structured data.
+
+        The profile is kept on the frame: ``explain(analyze=True)``
+        followed by :meth:`profile` executes the plan once.
+        """
+        if self._profiled is None:
+            _ANALYZED.inc()
+            with obs.span("plan.analyze"):
+                _result, self._profiled = _execute(self._node)
+        return self._profiled
 
     def explain(self, analyze: bool = False) -> str:
-        """Render the optimized plan.
+        """Render the plan, one operator per line.
 
-        With ``analyze=True`` the plan is *executed* under per-operator
-        profiling and every line gains rows-out, wall/CPU time, per-
-        predicate selectivity, and memoization hits.
+        With ``analyze=True`` the plan is *executed* (see :meth:`profile`)
+        and every line gains rows-out and wall/CPU time, and every filter
+        its selectivity.
         """
-        profiles: dict[int, OpProfile] = {}
-        if analyze:
-            node, profiles, _result = self._analyze()
-        else:
-            node = optimize(self._node)
+        root = self.profile() if analyze else None
         lines: list[str] = []
 
-        def annotate(n: PlanNode) -> str:
-            prof = profiles.get(id(n))
-            if prof is None:
-                return ""
-            bits = [
-                f"rows={prof.rows_out}",
-                f"wall={prof.wall_s * 1e3:.2f}ms",
-                f"cpu={prof.cpu_s * 1e3:.2f}ms",
-            ]
-            if prof.survivors:
-                bits.append(
-                    "sel=" + "*".join(f"{s:.3f}" for s in prof.selectivity)
-                )
-            if prof.memo_hits:
-                bits.append(f"memo_hits={prof.memo_hits}")
-            return "  (" + ", ".join(bits) + ")"
+        def render(n: PlanNode, prof: OpProfile | None, depth: int) -> None:
+            lines.append("  " * depth + _node_label(n) + _annotation(prof))
+            children = _children(n)
+            child_profs = (
+                [None] * len(children) if prof is None else prof.children
+            )
+            for child, child_prof in zip(children, child_profs):
+                render(child, child_prof, depth + 1)
 
-        def render(n: PlanNode, depth: int) -> None:
-            lines.append("  " * depth + _node_label(n) + annotate(n))
-            for child in _children(n):
-                render(child, depth + 1)
-
-        render(node, 0)
+        render(self._node, root, 0)
         return "\n".join(lines)
+
+
+def _annotation(prof: OpProfile | None) -> str:
+    """The ``explain(analyze=True)`` suffix of one operator's line."""
+    if prof is None:
+        return ""
+    bits = [
+        f"rows={prof.rows_out}",
+        f"wall={prof.wall_s * 1e3:.2f}ms",
+        f"cpu={prof.cpu_s * 1e3:.2f}ms",
+    ]
+    if prof.selectivity is not None:
+        bits.append(f"sel={prof.selectivity:.3f}")
+    return "  (" + ", ".join(bits) + ")"
 
 
 def _node_label(n: PlanNode) -> str:
@@ -785,10 +477,6 @@ def _node_label(n: PlanNode) -> str:
         return f"scan[{n.table.num_rows} rows x {n.table.num_columns} cols]"
     if isinstance(n, Filter):
         return f"filter[{_describe(n.predicate)}]"
-    if isinstance(n, FusedFilter):
-        preds = " & ".join(_describe(p) for p in n.predicates)
-        proj = f" -> {list(n.projection)}" if n.projection else ""
-        return f"fused_filter[{preds}]{proj}"
     if isinstance(n, Project):
         return f"project{list(n.names)}"
     if isinstance(n, WithColumn):

@@ -254,15 +254,23 @@ class Table:
         """Keep rows where ``mask`` is True.
 
         ``mask`` may be a boolean array or a callable mapping this table to
-        one (e.g. ``t.filter(lambda t: t["x"] > 0)``).
-
-        This is a thin shim over the plan executor's fused filter kernel;
-        chained filters fuse into one gather when built through
-        :meth:`lazy` instead.
+        one (e.g. ``t.filter(lambda t: t["x"] > 0)``, or an
+        :class:`~repro.tables.expr.Expr`).  The surviving row positions are
+        found once and every column is gathered once with them; a lazy
+        plan's filter runs this same kernel.
         """
-        from repro.tables.plan import _apply_filter
-
-        return _apply_filter(self, (mask,))
+        if callable(mask):
+            mask = mask(self)
+        mask = np.asarray(mask)
+        if mask.dtype != bool or mask.shape != (self.num_rows,):
+            raise SchemaError(
+                f"filter mask must be bool of length {self.num_rows}, "
+                f"got dtype {mask.dtype} shape {mask.shape}"
+            )
+        idx = np.flatnonzero(mask)
+        return Table(
+            {n: _gather(a, idx) for n, a in self._columns.items()}, copy=False
+        )
 
     def take(self, indices: Any) -> "Table":
         """Select rows by integer position (duplicates and reordering allowed)."""

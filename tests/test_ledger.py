@@ -405,6 +405,40 @@ class TestRunsCli:
         # No sampled run yet: the utilization section explains how to get one.
         assert "Utilization timeline" in html and "--sample" in html
 
+    def test_trended_counters_are_registered(self):
+        """Every counter the dashboard trends is one that ``repro``'s
+        modules register on import: a counter deleted from the code must
+        leave the trend list too.  A fresh interpreter keeps counters that
+        other tests create out of the registry."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+        from repro.obs import dashboard
+
+        probe = (
+            "import importlib, json, pkgutil, repro\n"
+            "from repro import obs\n"
+            "for m in pkgutil.walk_packages(repro.__path__, 'repro.'):\n"
+            "    if not m.name.endswith('__main__'):\n"
+            "        importlib.import_module(m.name)\n"
+            "print(json.dumps(sorted(obs.REGISTRY.counter_values())))\n"
+        )
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src}
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, check=True,
+            capture_output=True, text=True,
+        ).stdout
+        registered = json.loads(out.splitlines()[-1])
+        unmatched = [
+            prefix for prefix in dashboard._TREND_COUNTERS
+            if not any(name.startswith(prefix) for name in registered)
+        ]
+        assert unmatched == []
+
     def test_runs_report_renders_utilization_gantt(self, tmp_path, capsys):
         self._seed_ledger([
             _record("plain", phases={"release": 0.1}),

@@ -334,6 +334,51 @@ class TestDeltaCost:
         assert (shingled.value - c0, builds.value - b0) == (0, 0)
 
 
+class TestSnapshotSpan:
+    def test_span_times_the_fold_finalize_under_the_state_lock(
+        self, corpus, monkeypatch
+    ):
+        """The ``service.snapshot`` span covers the whole first read: its
+        first child is ``service.snapshot.finalize``, the catalog and
+        instance fold finalize, run while the state lock is held."""
+        config, released = corpus
+        state = ServiceState(config)
+        state.ingest(Parts(
+            np.arange(released.batch_catalog.num_rows),
+            np.arange(released.instances.num_rows),
+            sorted(released.batch_html),
+        ).payload(config, released))
+
+        held = []
+        for fold in (state._catalog, state._instances):
+            def finalize(_finalize=fold.finalize):
+                # Another thread cannot take the lock while this one holds it.
+                free = []
+                probe = threading.Thread(target=lambda: free.append(
+                    state._lock.acquire(blocking=False)
+                    and state._lock.release() is None
+                ))
+                probe.start()
+                probe.join()
+                held.append(not free[0])
+                return _finalize()
+            monkeypatch.setattr(fold, "finalize", finalize)
+
+        obs.enable(name="snapshot")
+        state.snapshot()
+        state.snapshot()  # a memo hit opens no span
+        trace = obs.finish()
+        assert held == [True, True]
+        spans = trace.spans
+        (outer,) = [s for s in spans if s.name == "service.snapshot"]
+        (inner,) = [s for s in spans if s.name == "service.snapshot.finalize"]
+        assert outer.parent == -1
+        assert inner.parent == outer.index
+        children = [s for s in spans if s.parent == outer.index]
+        assert children[0] is inner and len(children) > 1
+        assert inner.wall_s <= outer.wall_s
+
+
 # --------------------------------------------------------------------- #
 # Single-flight builds
 # --------------------------------------------------------------------- #

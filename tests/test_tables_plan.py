@@ -1,32 +1,20 @@
-"""Lazy plan engine: optimizer equivalence, fusion, pushdown, profiling.
+"""Lazy plan engine: eager equivalence, profiling, EXPLAIN, schema checks.
 
 The central property: for any operator chain, ``collect()`` of the lazy
-plan is byte-identical to applying the same operators eagerly, and to
-collecting the raw plan with :func:`~repro.tables.plan.optimize` replaced
-by the identity (the unoptimized reference).  Hypothesis drives random
-chains; targeted tests pin down each optimizer rewrite and its counters,
-and one test builds the whole tiny study both ways.
+plan is byte-identical to applying the same operators eagerly.  Hypothesis
+drives random chains; targeted tests pin down the per-operator profile, the
+EXPLAIN ANALYZE rendering and the build-time schema errors.
 """
-
-from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import build_study, obs
-from repro.analysis.taskdesign import METRICS, analysis_clusters
+from repro import obs
 from repro.tables import Table, col, group_by, hash_join, profile_hotspots
-from repro.tables import plan
-from repro.tables.plan import LazyFrame, optimize
+from repro.tables.plan import LazyFrame
 from repro.tables.table import SchemaError
-from tests.test_shard_equivalence import assert_tables_byte_identical
-
-
-def _unoptimized():
-    """Run plans exactly as recorded: the optimizer becomes the identity."""
-    return mock.patch.object(plan, "optimize", lambda node: node)
 
 
 def _tables_equal_bytes(a: Table, b: Table) -> bool:
@@ -109,71 +97,27 @@ def test_random_plan_matches_eager_reference(n, seed, ops):
     assert _tables_equal_bytes(collected, eager), applied
 
 
-@given(st.integers(0, 40), st.integers(0, 10**6), st.lists(_OPS, max_size=5))
-@settings(max_examples=40, deadline=None)
-def test_random_plan_matches_unoptimized_run(n, seed, ops):
-    table = _base_table(n, seed)
-
-    def build():
-        frame = table.lazy()
-        skip = set()
-        for name, lazy_op, _ in ops:
-            if name == "select":
-                skip.update({"filter_s"})
-            if name in skip:
-                continue
-            try:
-                frame = lazy_op(frame)
-            except SchemaError:
-                continue
-        return frame
-
-    optimized = build().collect()
-    with _unoptimized():
-        unoptimized = build().collect()
-    assert _tables_equal_bytes(optimized, unoptimized)
-
-
-def test_filter_chain_fuses_and_matches_sequential():
+def test_filter_chain_matches_sequential():
+    """A chain of filters runs one ``Table.filter`` per node, each on the
+    rows that survived the one below it."""
     table = _base_table(500, 3)
-    obs.REGISTRY.counter("plan.fused_ops").reset()
     frame = (
         table.lazy()
         .filter(col("x") > -1.0)
         .filter(col("k") <= 5)
         .filter(col("x") < 1.0)
     )
-    out = frame.collect()
     ref = (
         table.filter(table["x"] > -1.0)
         .filter(lambda t: t["k"] <= 5)
         .filter(lambda t: t["x"] < 1.0)
     )
-    assert _tables_equal_bytes(out, ref)
-    assert obs.REGISTRY.counter_values()["plan.fused_ops"] >= 2
+    assert _tables_equal_bytes(frame.collect(), ref)
 
 
-def test_projection_pushdown_below_group_by():
-    table = _base_table(300, 4)
-    frame = (
-        table.lazy()
-        .filter(col("x") > 0.0)
-        .group_by("k")
-        .agg({"total": ("x", "sum")})
-    )
-    rendered = LazyFrame(optimize(frame._node)).explain()
-    # The filter gains a fused projection onto the group-by inputs, so the
-    # unused string column is never gathered.
-    assert "fused_filter" in rendered
-    assert "'k', 'x'" in rendered
-    out = frame.collect()
-    ref = group_by(table.filter(table["x"] > 0.0), "k").agg(
-        {"total": ("x", "sum")}
-    )
-    assert _tables_equal_bytes(out, ref)
-
-
-def test_projection_pushdown_below_join_keeps_suffix_naming():
+def test_join_then_select_keeps_suffix_naming():
+    """``select`` after a join is checked against the join-naming replica:
+    the names it predicts, suffixes included, are the join's own."""
     left = _base_table(200, 5)
     right = _base_table(50, 6).rename({"s": "tag"})
     frame = (
@@ -181,23 +125,14 @@ def test_projection_pushdown_below_join_keeps_suffix_naming():
         .join(right, on="k", how="left")
         .select(["k", "x", "tag"])
     )
-    out = frame.collect()
     ref = hash_join(left, right, on="k", how="left").select(["k", "x", "tag"])
-    assert _tables_equal_bytes(out, ref)
-    # Colliding non-key names must keep their suffix decisions.
+    assert _tables_equal_bytes(frame.collect(), ref)
+    # Colliding non-key names take the suffix, exactly as the join does.
     frame2 = left.lazy().join(right, on="k").select(["k", "x_right"])
     ref2 = hash_join(left, right, on="k").select(["k", "x_right"])
     assert _tables_equal_bytes(frame2.collect(), ref2)
-
-
-def test_collect_is_memoized_per_frame():
-    table = _base_table(50, 7)
-    frame = table.lazy().filter(col("x") > 0.0)
-    first = frame.collect()
-    before = obs.REGISTRY.counter_values().get("plan.cache_hit", 0)
-    second = frame.collect()
-    assert second is first
-    assert obs.REGISTRY.counter_values()["plan.cache_hit"] == before + 1
+    with pytest.raises(SchemaError):
+        left.lazy().join(right, on="k").select(["tag_right"])
 
 
 def test_shared_subplan_result_matches_eager():
@@ -216,16 +151,26 @@ def test_shared_subplan_result_matches_eager():
 
 
 def test_eager_filter_shim_matches_plan_kernel():
+    """A plan's filter node runs ``Table.filter``: a mask, a callable and an
+    expression give the same rows, and a malformed mask fails alike."""
     table = _base_table(200, 10)
     mask = table["x"] > 0.0
-    assert _tables_equal_bytes(
-        table.filter(mask), table.lazy().filter(mask).collect()
-    )
-    with pytest.raises(SchemaError):
-        table.filter(np.ones(3, dtype=bool))
+    eager = table.filter(mask)
+    for predicate in (mask, lambda t: t["x"] > 0.0, col("x") > 0.0):
+        assert _tables_equal_bytes(table.filter(predicate), eager)
+        assert _tables_equal_bytes(
+            table.lazy().filter(predicate).collect(), eager
+        )
+    for bad in (np.ones(3, dtype=bool), np.ones(200, dtype=np.int64)):
+        with pytest.raises(SchemaError):
+            table.filter(bad)
+        with pytest.raises(SchemaError):
+            table.lazy().filter(bad).collect()
 
 
 def test_explain_renders_plan_nodes():
+    """The plan renders as recorded: one line per node, root first, each
+    filter on its own line."""
     table = _base_table(20, 11)
     text = (
         table.lazy()
@@ -234,8 +179,9 @@ def test_explain_renders_plan_nodes():
         .select(["k"])
         .explain()
     )
-    assert "scan" in text.lower()
-    assert "filter" in text.lower()
+    ops = [line.strip().split("[")[0] for line in text.splitlines()]
+    assert ops == ["project", "filter", "filter", "scan"]
+    assert "rows=" not in text
 
 
 @given(st.integers(0, 40), st.integers(0, 10**6), st.lists(_OPS, max_size=5))
@@ -264,7 +210,7 @@ def test_profile_row_counts_are_conservation_consistent(n, seed, ops):
             assert child.rows_out == rows_in
         assert prof.wall_s >= 0.0
     assert root.rows_out == len(eager)
-    # profile() cached the analyzed result on the frame.
+    # collect() runs the plan again and gets the same bytes.
     assert _tables_equal_bytes(frame.collect(), eager)
 
 
@@ -279,31 +225,32 @@ def test_explain_analyze_annotates_rows_and_selectivity():
         .agg({"m": ("x", "mean")})
     )
     text = frame.explain(analyze=True)
-    assert "rows=" in text and "wall=" in text and "cpu=" in text
-    # The fused predicate pair reports one selectivity factor per predicate.
-    assert "sel=" in text
+    lines = text.splitlines()
+    assert all(
+        "rows=" in line and "wall=" in line and "cpu=" in line
+        for line in lines
+    )
+    # Each filter reports its own selectivity; no other operator does.
+    filter_lines = [line for line in lines if line.lstrip().startswith("filter")]
+    assert len(filter_lines) == 2
+    assert sum("sel=" in line for line in lines) == 2
+    assert all("sel=" in line for line in filter_lines)
     assert obs.REGISTRY.counter_values()["plan.analyzed"] == before + 1
-    # The profile is memoized with the explain call: no second execution.
+    # The profile is kept with the explain call: no second execution.
     root = frame.profile()
     assert obs.REGISTRY.counter_values()["plan.analyzed"] == before + 1
-    sel = next(p for p in root.walk() if p.survivors).selectivity
-    assert all(0.0 <= s <= 1.0 for s in sel)
+    filters = [p for p in root.walk() if p.op == "filter"]
+    assert len(filters) == 2
+    for prof, line in zip(filters, filter_lines):
+        assert prof.selectivity == prof.rows_out / prof.rows_in[0]
+        assert 0.0 <= prof.selectivity <= 1.0
+        assert f"sel={prof.selectivity:.3f}" in line
+    assert all(p.selectivity is None for p in root.walk() if p.op != "filter")
     hot = profile_hotspots(root, top=3)
     assert 1 <= len(hot) <= 3
     assert all(
         hot[i].wall_s >= hot[i + 1].wall_s for i in range(len(hot) - 1)
     )
-
-
-def test_profile_counts_memo_hits_for_shared_subplan():
-    table = _base_table(400, 22)
-    base = table.lazy().filter(col("x") > 0.0)
-    joined = base.join(
-        LazyFrame(base._node).group_by("k").agg({"m": ("x", "mean")}),
-        on="k",
-    )
-    root = joined.profile()
-    assert sum(p.memo_hits for p in root.walk()) >= 1
 
 
 def test_select_unknown_column_raises_at_build_time():
@@ -312,40 +259,3 @@ def test_select_unknown_column_raises_at_build_time():
         table.lazy().select(["nope"])
     with pytest.raises(SchemaError):
         table.lazy().rename({"nope": "x2"})
-
-
-def test_unoptimized_run_skips_fusion():
-    table = _base_table(100, 13)
-    obs.REGISTRY.counter("plan.fused_ops").reset()
-    frame = table.lazy().filter(col("x") > 0.0).filter(col("k") <= 3)
-    with _unoptimized():
-        out = frame.collect()
-        rendered = frame.explain()
-    ref = table.filter(table["x"] > 0.0)
-    ref = ref.filter(ref["k"] <= 3)
-    assert _tables_equal_bytes(out, ref)
-    assert "fused_filter" not in rendered
-    assert obs.REGISTRY.counter_values().get("plan.fused_ops", 0) == 0
-
-
-def test_optimizer_off_study_is_byte_identical():
-    """The whole tiny study's plan-built tables do not depend on the
-    optimizer: the unoptimized plans produce the same bytes."""
-    optimized = build_study("tiny", seed=7, cache=False)
-    with _unoptimized():
-        reference = build_study("tiny", seed=7, cache=False)
-        reference_clusters = {
-            m: analysis_clusters(reference.enriched, metric=m) for m in METRICS
-        }
-    for name in ("batch_table", "cluster_table"):
-        assert_tables_byte_identical(
-            getattr(optimized.enriched, name),
-            getattr(reference.enriched, name),
-            label=name,
-        )
-    for metric in METRICS:
-        assert_tables_byte_identical(
-            analysis_clusters(optimized.enriched, metric=metric),
-            reference_clusters[metric],
-            label=f"analysis_clusters[{metric}]",
-        )
