@@ -112,6 +112,7 @@ DEFAULT_TESTS = [
     "tests/test_enrichment.py",
     "tests/test_service_parts.py",
     "tests/test_groupby_kernels.py",
+    "tests/test_lazy_state.py",
 ]
 
 

@@ -166,7 +166,8 @@ echo "== 13/17 incremental service (3 shuffled HTTP micro-batches must match the
 # probes back and writes one digest line per route; the same routes
 # rendered locally from a one-shot batch fold produce the reference file.
 # The diff is the fold's invariant made visible: partitioning and
-# arrival order must never change a served byte.
+# arrival order must never change a served byte.  A final /metrics scrape
+# proves the server never simulated the instance log.
 REPRO_NO_LEDGER=1 python -m repro serve --ingest --scale medium --seed 7 \
     --port 8742 --duration 900 > "$OUT/service_stdout.txt" 2>&1 &
 SERVE_PID=$!
@@ -225,8 +226,20 @@ with open(f"{out}/service_batch.txt", "w") as batch_file, \
 status, headers2, _ = client.get("/tables/batch_rollup")
 status304, _, _ = client.get("/tables/batch_rollup", etag=headers2["etag"])
 assert status304 == 304, f"conditional re-read -> {status304}, want 304"
+# Every route is served from the ingested rows and the simulated world
+# alone (Table 4's roster): the server must never simulate an instance
+# row.  An absent sample counts as 0.
+status, _, body = client.get("/metrics")
+assert status == 200, f"GET /metrics -> {status}"
+rows = 0.0
+for line in body.decode().splitlines():
+    name, _, value = line.partition(" ")
+    if name == "repro_simulate_instances_rows_total":
+        rows = float(value)
+assert rows == 0, f"server simulated {rows:g} instance rows, want 0"
 client.close()
-print(f"service probe ok: {len(local)} routes read back after shuffled ingest")
+print(f"service probe ok: {len(local)} routes read back after shuffled "
+      "ingest, 0 instance rows simulated by the server")
 EOF
 kill "$SERVE_PID" 2>/dev/null || true
 wait "$SERVE_PID" 2>/dev/null || true

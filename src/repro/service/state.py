@@ -220,9 +220,13 @@ class ServiceState:
     def __init__(self, config: "SimulationConfig"):
         from repro import cache as study_cache
         from repro.enrichment.pipeline import EnrichmentParts
+        from repro.simulator.engine import LazyMarketplaceState
 
         self.config = config
         self.config_key = study_cache.study_key(config)
+        # The config is fixed, so one ground-truth stand-in serves every
+        # snapshot's figure suite: Table 4 simulates the world once.
+        self._ground_truth = LazyMarketplaceState(config)
         self._lock = threading.RLock()
         self._catalog = IncrementalTableFold("batch_id")
         self._instances = IncrementalTableFold("instance_id")
@@ -463,7 +467,6 @@ class ServiceState:
         """
         from repro.dataset.release import ReleasedDataset
         from repro.figures.suite import FigureSuite
-        from repro.study import _LazyState
 
         memo = self._fresh_snapshot()
         if memo is not None:
@@ -495,13 +498,13 @@ class ServiceState:
                     dirty = list(self._dirty)
                 _SNAPSHOT_BUILDS.inc()
                 enriched = self._parts.enrich(released, self.config, dirty)
-            lazy = _LazyState(self.config)
             snapshot = Snapshot(
                 versions=versions,
                 released=released,
                 enriched=enriched,
                 figures=FigureSuite(
-                    state=lazy, released=released, enriched=enriched
+                    state=self._ground_truth, released=released,
+                    enriched=enriched,
                 ),
             )
             with self._lock:

@@ -5,6 +5,9 @@ This is the substitute for the paper's proprietary dataset.  A single call to
 :class:`~repro.simulator.engine.MarketplaceState` holding the full ground
 truth: sources, workers, distinct tasks, batches, and the instance-level
 event log (who did what, when, with which answer and trust score).
+:func:`~repro.simulator.engine.simulate_world` builds the world without the
+log, and :class:`~repro.simulator.engine.LazyMarketplaceState` builds each
+part on first read.
 
 The generator is *calibrated to the paper's published statistics* — every
 effect the paper reports (examples reduce disagreement and pickup time,

@@ -1,5 +1,10 @@
 """The simulation engine: orchestrates all generators into a full event log.
 
+:func:`simulate_world` builds the world layers (sources, envelope, tasks,
+batches, workers) and :func:`simulate_instances` the instance log over
+them; :func:`simulate_marketplace` runs both, and
+:class:`LazyMarketplaceState` runs each only when its layer is read.
+
 The output :class:`MarketplaceState` contains both the *observable* world
 (instances with timestamps, workers, responses, trust scores) and the
 *latent* ground truth (task targets, worker skill) — the latter is exposed
@@ -9,7 +14,8 @@ rows; analysis code never reads it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import threading
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -64,19 +70,6 @@ class InstanceLog:
         return np.arange(self.num_instances, dtype=np.int64)
 
 
-@dataclass
-class MarketplaceState:
-    """Full simulator ground truth."""
-
-    config: SimulationConfig
-    envelope: np.ndarray
-    sources: SourcePool
-    workers: WorkerPool
-    tasks: TaskPopulation
-    batches: BatchSchedule
-    instances: InstanceLog
-
-
 def _weekly_load_factor(
     config: SimulationConfig, batches: BatchSchedule
 ) -> np.ndarray:
@@ -122,6 +115,58 @@ def _validate_shard(shard: int | None, num_shards: int | None) -> bool:
     return True
 
 
+@dataclass
+class MarketWorld:
+    """The world layers of the ground truth: everything but the instance log.
+
+    Built by :func:`simulate_world`; each layer draws from its own named
+    stream, so a world built alone is byte-identical to the one
+    :func:`simulate_marketplace` builds on its way to the log.
+    """
+
+    config: SimulationConfig
+    envelope: np.ndarray
+    sources: SourcePool
+    workers: WorkerPool
+    tasks: TaskPopulation
+    batches: BatchSchedule
+
+
+@dataclass
+class MarketplaceState(MarketWorld):
+    """Full simulator ground truth: the world plus its instance log."""
+
+    instances: InstanceLog
+
+
+def simulate_world(config: SimulationConfig, streams: StreamFactory) -> MarketWorld:
+    """Generate the world layers (sources, envelope, tasks, batches,
+    workers) under their ``simulate.*`` child spans."""
+    with obs.span("simulate.sources"):
+        sources = generate_sources(streams)
+    with obs.span("simulate.envelope"):
+        envelope = market_envelope(config, streams)
+    with obs.span("simulate.tasks"):
+        tasks = generate_tasks(config, envelope, streams)
+    with obs.span("simulate.batches"):
+        batches = generate_batches(config, tasks, envelope, streams)
+    with obs.span("simulate.workers"):
+        workers = generate_workers(config, sources, envelope, streams)
+    return MarketWorld(
+        config=config,
+        envelope=envelope,
+        sources=sources,
+        workers=workers,
+        tasks=tasks,
+        batches=batches,
+    )
+
+
+def _with_instances(world: MarketWorld, instances: InstanceLog) -> MarketplaceState:
+    layers = {f.name: getattr(world, f.name) for f in fields(MarketWorld)}
+    return MarketplaceState(**layers, instances=instances)
+
+
 def simulate_marketplace(
     config: SimulationConfig,
     *,
@@ -130,29 +175,20 @@ def simulate_marketplace(
 ) -> MarketplaceState:
     """Run the full generative model for ``config``.  Deterministic in seed.
 
-    With ``shard``/``num_shards`` set, the world layers (sources, envelope,
-    tasks, batches, workers) are generated in full — they are cheap and the
-    generative couplings (daily worker allocation, weekly load) span all
-    batches — but the expensive instance *materialization* (answer strings,
-    the event-log columns) is restricted to batches with
-    ``batch_id % num_shards == shard``.  Numeric RNG draws are replayed at
-    full size so the union of all shards is byte-identical to the monolithic
-    run (see :mod:`repro.shard`).
+    :func:`simulate_world` followed by :func:`simulate_instances`.  With
+    ``shard``/``num_shards`` set, the world layers are still generated in
+    full — they are cheap and the generative couplings (daily worker
+    allocation, weekly load) span all batches — but the expensive instance
+    *materialization* (answer strings, the event-log columns) is restricted
+    to batches with ``batch_id % num_shards == shard``.  Numeric RNG draws
+    are replayed at full size so the union of all shards is byte-identical
+    to the monolithic run (see :mod:`repro.shard`).
     """
     sharded = _validate_shard(shard, num_shards)
     streams = StreamFactory(config.seed)
 
     with obs.span("simulate", seed=config.seed, weeks=config.num_weeks) as sp:
-        with obs.span("simulate.sources"):
-            sources = generate_sources(streams)
-        with obs.span("simulate.envelope"):
-            envelope = market_envelope(config, streams)
-        with obs.span("simulate.tasks"):
-            tasks = generate_tasks(config, envelope, streams)
-        with obs.span("simulate.batches"):
-            batches = generate_batches(config, tasks, envelope, streams)
-        with obs.span("simulate.workers"):
-            workers = generate_workers(config, sources, envelope, streams)
+        world = simulate_world(config, streams)
 
         keep_batches = None
         if sharded:
@@ -160,25 +196,89 @@ def simulate_marketplace(
             # repro.shard.partition.shard_of_batches (kept inline here to
             # avoid an import cycle with the shard package).
             keep_batches = (
-                np.arange(batches.num_batches, dtype=np.int64) % num_shards
-                == shard
+                np.arange(world.batches.num_batches, dtype=np.int64)
+                % num_shards == shard
             )
             sp.set("shard", shard)
             sp.set("num_shards", num_shards)
 
         instances = simulate_instances(
-            config, tasks, batches, workers, streams, keep_batches=keep_batches
+            config, world.tasks, world.batches, world.workers, streams,
+            keep_batches=keep_batches,
         )
         sp.set("instances", instances.num_instances)
-    return MarketplaceState(
-        config=config,
-        envelope=envelope,
-        sources=sources,
-        workers=workers,
-        tasks=tasks,
-        batches=batches,
-        instances=instances,
-    )
+    return _with_instances(world, instances)
+
+
+class LazyMarketplaceState:
+    """Stand-in for :class:`MarketplaceState` that builds only what is read.
+
+    Warm-cache, sharded and service studies never hold the ground truth,
+    but it must stay reachable (Table 4 lists the source roster; tests and
+    ablations read the rest).  ``config`` is free.  Reading any world layer
+    (``envelope``, ``sources``, ``workers``, ``tasks``, ``batches``) runs
+    :func:`simulate_world` once; reading ``instances`` runs
+    :func:`simulate_instances` once over that same world, and
+    :meth:`materialize` returns a :class:`MarketplaceState` made of those
+    same objects.  Determinism in the seed makes every layer byte-identical
+    to what :func:`simulate_marketplace` gives.  Builds are serialized, so
+    concurrent readers (service routes) build each layer once.
+
+    Private names raise ``AttributeError`` without building anything, and a
+    copy or pickle carries only the config.
+    """
+
+    __slots__ = ("_config", "_world", "_instances", "_lock")
+
+    def __init__(self, config: SimulationConfig):
+        self._config = config
+        self._world: MarketWorld | None = None
+        self._instances: InstanceLog | None = None
+        self._lock = threading.Lock()
+
+    def __reduce__(self):
+        return (type(self), (self._config,))
+
+    @property
+    def config(self) -> SimulationConfig:
+        return self._config
+
+    def _span(self):
+        config = self._config
+        return obs.span("simulate", seed=config.seed, weeks=config.num_weeks)
+
+    def world(self) -> MarketWorld:
+        """The world layers, built on first use."""
+        with self._lock:
+            if self._world is None:
+                with self._span():
+                    self._world = simulate_world(
+                        self._config, StreamFactory(self._config.seed)
+                    )
+            return self._world
+
+    @property
+    def instances(self) -> InstanceLog:
+        world = self.world()
+        with self._lock:
+            if self._instances is None:
+                with self._span():
+                    self._instances = simulate_instances(
+                        self._config, world.tasks, world.batches,
+                        world.workers, StreamFactory(self._config.seed),
+                    )
+            return self._instances
+
+    def materialize(self) -> MarketplaceState:
+        """The full ground truth, built from this stand-in's own layers."""
+        instances = self.instances
+        return _with_instances(self.world(), instances)
+
+    envelope = property(lambda self: self.world().envelope)
+    sources = property(lambda self: self.world().sources)
+    workers = property(lambda self: self.world().workers)
+    tasks = property(lambda self: self.world().tasks)
+    batches = property(lambda self: self.world().batches)
 
 
 def simulate_instances(

@@ -7,9 +7,11 @@ figure/table.
 
 Built studies are cached on disk (see :mod:`repro.cache`): a warm
 ``build_study`` for an already-seen ``(config, code)`` pair loads the
-released + enriched layers instead of recomputing them, and defers the
-simulation of ground truth until ``study.state`` is actually accessed
-(figures and analyses only need it for verification-style entry points).
+released + enriched layers instead of recomputing them.  Its ground truth
+is a :class:`repro.simulator.engine.LazyMarketplaceState`: reading a world
+layer of ``study.state`` (Table 4 reads ``sources``) simulates the world
+alone, and only reading ``study.state.instances`` simulates the instance
+log.
 """
 
 from __future__ import annotations
@@ -23,40 +25,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type hints only
     from repro.enrichment.pipeline import EnrichedDataset
     from repro.figures.suite import FigureSuite
     from repro.simulator.config import SimulationConfig
-    from repro.simulator.engine import MarketplaceState
-
-
-class _LazyState:
-    """Stand-in for :class:`MarketplaceState` that simulates on first use.
-
-    Cache hits skip the simulator, but the ground-truth ``state`` layer must
-    stay reachable (tests and ablations read it).  The config is served
-    without simulating — it is all most consumers (``FigureSuite``) touch —
-    and any other attribute access materializes the full state exactly once.
-    Determinism in the seed guarantees the materialized state is identical
-    to the one the cached entry was built from.
-    """
-
-    __slots__ = ("_config", "_state")
-
-    def __init__(self, config: "SimulationConfig",
-                 state: "MarketplaceState | None" = None):
-        self._config = config
-        self._state = state
-
-    @property
-    def config(self) -> "SimulationConfig":
-        return self._config
-
-    def materialize(self) -> "MarketplaceState":
-        if self._state is None:
-            from repro.simulator.engine import simulate_marketplace
-
-            self._state = simulate_marketplace(self._config)
-        return self._state
-
-    def __getattr__(self, name: str):
-        return getattr(self.materialize(), name)
+    from repro.simulator.engine import LazyMarketplaceState, MarketplaceState
 
 
 class Study:
@@ -70,9 +39,10 @@ class Study:
         Full simulator ground truth (includes latent variables the analyses
         must not peek at; exposed for tests and ablations).  The same object
         as ``figures.state``.  On a warm-cache or sharded build it is a
-        stand-in that simulates on the first access of ``study.state`` (or
-        of any ground-truth attribute) and forwards every attribute to the
-        simulated world.
+        :class:`~repro.simulator.engine.LazyMarketplaceState`: ``config``
+        is free, the first read of a world layer simulates the world, and
+        the first read of ``instances`` simulates the instance log over
+        that world.
     released:
         The "released dataset" — what the paper's authors actually received
         from the marketplace (sampled batches, instance metadata, HTML).
@@ -86,24 +56,16 @@ class Study:
     def __init__(
         self,
         config: "SimulationConfig",
-        state: "MarketplaceState | _LazyState | None",
+        state: "MarketplaceState | LazyMarketplaceState",
         released: "ReleasedDataset",
         enriched: "EnrichedDataset",
         figures: "FigureSuite",
     ):
         self.config = config
-        self._state = state if state is not None else _LazyState(config)
+        self.state = state
         self.released = released
         self.enriched = enriched
         self.figures = figures
-
-    @property
-    def state(self) -> "MarketplaceState":
-        if isinstance(self._state, _LazyState):
-            # Simulate now, but hand out the stand-in the figure suite
-            # holds, so both resolve to one object.
-            self._state.materialize()
-        return self._state
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -127,7 +89,11 @@ def build_study(
     ``True``/``False`` force it on/off; ``None`` (default) enables it unless
     the ``REPRO_NO_CACHE`` environment variable is set.  A warm hit loads
     the released + enriched layers from disk — byte-identical to a cold
-    build — and defers simulation until ``study.state`` is touched.
+    build — and simulates nothing: its ``state`` (like a sharded build's)
+    is a :class:`~repro.simulator.engine.LazyMarketplaceState` that
+    simulates the world on the first read of a world layer and the
+    instance log only on the first read of ``state.instances``.  A cold
+    monolithic build keeps the real state it released from.
 
     ``shards`` selects the sharded, memory-bounded executor
     (:mod:`repro.shard`): ``K > 1`` builds K batch-partitioned shards and
@@ -143,9 +109,9 @@ def build_study(
     deterministic fault injection (:mod:`repro.faults`, ``REPRO_FAULTS``).
     """
     from repro import cache as study_cache
-    from repro.figures.suite import FigureSuite
     from repro.shard.partition import resolve_shards
     from repro.simulator.config import SimulationConfig
+    from repro.simulator.engine import LazyMarketplaceState, simulate_marketplace
 
     config = SimulationConfig.preset(scale, seed=seed)
     use_cache = study_cache.cache_enabled(cache)
@@ -159,15 +125,8 @@ def build_study(
             if loaded is not None:
                 released, enriched = loaded
                 sp.set("source", "cache")
-                lazy = _LazyState(config)
-                study = Study(
-                    config=config,
-                    state=lazy,
-                    released=released,
-                    enriched=enriched,
-                    figures=FigureSuite(
-                        state=lazy, released=released, enriched=enriched
-                    ),
+                study = _assemble(
+                    config, LazyMarketplaceState(config), released, enriched
                 )
                 obs.ledger.note_study(study)
                 return study
@@ -175,13 +134,13 @@ def build_study(
         from repro import faults
         from repro.dataset.release import release_dataset
         from repro.enrichment.pipeline import enrich_dataset
-        from repro.simulator.engine import simulate_marketplace
 
         if num_shards > 1:
             from repro.shard.build import build_released_enriched
 
             released, enriched = build_released_enriched(config, num_shards)
-            state = None  # never retain the full world; _LazyState covers it
+            # Never retain the full world; the stand-in builds it on demand.
+            state = LazyMarketplaceState(config)
         else:
             state = simulate_marketplace(config)
             with obs.span("release"):
@@ -200,16 +159,19 @@ def build_study(
             sp.set("cache_stored", stored is not None)
         sp.set("source", "built")
         sp.set("instances", released.instances.num_rows)
-        if state is None:
-            state = _LazyState(config)
-        study = Study(
-            config=config,
-            state=state,
-            released=released,
-            enriched=enriched,
-            figures=FigureSuite(
-                state=state, released=released, enriched=enriched
-            ),
-        )
+        study = _assemble(config, state, released, enriched)
         obs.ledger.note_study(study)
         return study
+
+
+def _assemble(config, state, released, enriched) -> Study:
+    """A :class:`Study` whose figure suite holds the study's own state."""
+    from repro.figures.suite import FigureSuite
+
+    return Study(
+        config=config,
+        state=state,
+        released=released,
+        enriched=enriched,
+        figures=FigureSuite(state=state, released=released, enriched=enriched),
+    )

@@ -91,15 +91,21 @@ class TestRoundTrip:
     def test_warm_study_defers_simulation(self, cache_dir):
         build_study("tiny", seed=7)
         warm = build_study("tiny", seed=7)
-        from repro.study import _LazyState
+        from repro.simulator.engine import LazyMarketplaceState
 
-        assert isinstance(warm._state, _LazyState)
-        assert warm._state._state is None  # not simulated yet
-        assert warm.config.seed == 7  # config access does not materialize
-        assert warm._state._state is None
-        # Touching .state materializes the real simulator state.
+        assert isinstance(warm.state, LazyMarketplaceState)
+        assert warm.state._world is None  # not simulated yet
+        assert warm.config.seed == 7  # config access does not simulate
+        assert warm.state._world is None
+        # Reading state.config is free; a world layer builds the world
+        # alone; only state.instances builds the instance log.
         assert warm.state.config.seed == 7
-        assert warm._state._state is not None
+        assert warm.state._world is None
+        assert warm.state.sources.names
+        assert warm.state._world is not None
+        assert warm.state._instances is None
+        assert warm.state.instances.num_instances > 0
+        assert warm.state._instances is not None
 
     def test_figures_work_on_warm_study(self, cache_dir):
         build_study("tiny", seed=7)

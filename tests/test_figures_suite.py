@@ -151,15 +151,17 @@ class TestOneStateObject:
     object, whatever an earlier test left in a shared cache."""
 
     def test_warm_study(self, tmp_path, monkeypatch):
-        from repro.study import _LazyState, build_study
+        from repro.simulator.engine import LazyMarketplaceState
+        from repro.study import build_study
 
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
         monkeypatch.delenv("REPRO_NO_CACHE", raising=False)
         build_study("tiny", seed=7, cache=True)
         warm = build_study("tiny", seed=7, cache=True)
-        assert isinstance(warm.figures.state, _LazyState)
+        assert isinstance(warm.figures.state, LazyMarketplaceState)
         assert warm.figures.state is warm.state
-        # Reading study.state simulated the world behind the stand-in.
+        # Reading config builds nothing; reading sources builds the world
+        # behind the stand-in, once, for the study and its figure suite.
         assert warm.state.config.seed == 7
         assert warm.state.sources.names == warm.figures.state.sources.names
 

@@ -63,7 +63,7 @@ def tiny_figures(tiny_study):
     from repro.figures.suite import FigureSuite
 
     return FigureSuite(
-        state=tiny_study._state,
+        state=tiny_study.state,
         released=tiny_study.released,
         enriched=tiny_study.enriched,
     )
@@ -187,7 +187,7 @@ class TestSmallScale:
         from repro.figures.suite import FigureSuite
 
         figures = FigureSuite(
-            state=study._state,
+            state=study.state,
             released=study.released,
             enriched=study.enriched,
         )
